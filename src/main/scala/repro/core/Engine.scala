@@ -52,11 +52,11 @@ final case class CandBatch(
 ) extends Serializable
 
 /** Stage task outputs: surviving batches, per-query completed hits, and one
-  * accounting record per node. */
+  * accounting record per node and pipeline position. */
 sealed trait StageOut extends Serializable
 final case class SurvivorOut(batch: CandBatch) extends StageOut
 final case class CompletedOut(qIdx: Int, hits: Array[Hit]) extends StageOut
-final case class LedgerOut(node: Int, ledger: NodeLedger, entering: Long, pruned: Long)
+final case class LedgerOut(pos: Int, node: Int, ledger: NodeLedger, entering: Long, pruned: Long)
   extends StageOut
 
 /** Result of one search batch. */
@@ -89,8 +89,16 @@ final case class EngineResult(
   * base-vector blocks, so each simulated node computes partial distances for
   * exactly the state that was routed to it; the shuffle between stages *is*
   * the inter-machine transfer and is counted byte-for-byte. The driver plays
-  * the master: it owns the per-query top-K heaps, broadcasts pruning
-  * thresholds τ² before every stage, and merges completed distances.
+  * the master: it owns the per-query top-K heaps and merges completed
+  * distances.
+  *
+  * Heaps, and so the pruning thresholds τ², change only when the driver
+  * merges a wave's final-position hits. Every position of a wave therefore
+  * reads the same τ², broadcast once per wave, and a wave is one Spark job:
+  * its inputs are placed directly on the nodes holding their first blocks
+  * (no shuffle), each position's survivors reach the next position through
+  * a `partitionBy` shuffle, and each position's [[LedgerOut]]s are forwarded
+  * through those shuffles to the wave's single `collect`.
   */
 object Engine {
 
@@ -109,7 +117,6 @@ object Engine {
     val nQ = queries.length
     require(nQ > 0, "empty query batch")
 
-    val bcQueries = sc.broadcast(queries)
     var clientOps = 0L
     var clientBytes = 0L
 
@@ -161,10 +168,12 @@ object Engine {
     val stages = ArrayBuffer.empty[StageRecord]
     val enteringByPos = new Array[Long](bDim)
     val prunedByPos = new Array[Long](bDim)
-    val cached = ArrayBuffer.empty[RDD[StageOut]]
-    val taus = ArrayBuffer.empty[Broadcast[Array[Double]]]
+    val pruning = cfg.pruning
+    val k = cfg.k
+    val bcLayouts = store.bcLayouts
 
-    waves.filter(_.nonEmpty).foreach { wave =>
+    val bcQueries = sc.broadcast(queries)
+    try waves.filter(_.nonEmpty).foreach { wave =>
       // slice start offsets (rotation)
       val nodeLoad = new Array[Long](nNodes)
       val ordered = wave.sortBy(p => (-p.nRows, p.qIdx, p.shard))
@@ -180,66 +189,64 @@ object Engine {
         ((p.qIdx, p.shard), off)
       }.toMap
 
-      val batches: Seq[(Int, CandBatch)] = wave.map { p =>
+      // wave inputs are placed straight onto the node holding their first
+      // block: one parallelize slice per node, zipped with that node's blocks
+      val byNode = Array.fill(nNodes)(ArrayBuffer.empty[(Int, StageOut)])
+      wave.foreach { p =>
         val off = offsets((p.qIdx, p.shard))
         val order = Array.tabulate(bDim)(i => (off + i) % bDim)
         val b = CandBatch(p.qIdx, p.shard, order, 0, p.clusters,
           rows = Array.emptyIntArray, partial = Array.emptyDoubleArray)
-        (plan.blockId(p.shard, order(0)), b)
+        val bid = plan.blockId(p.shard, order(0))
+        byNode(plan.nodeOfBlock(bid)) += ((bid, SurvivorOut(b)))
       }
 
-      var rdd: RDD[(Int, CandBatch)] =
-        sc.parallelize(batches, nNodes).partitionBy(plan.partitioner)
-
-      var pos = 0
-      while (pos < bDim) {
-        val bcTau = sc.broadcast(heaps.map(_.threshold))
-        val pruning = cfg.pruning
-        val k = cfg.k
-        val bcLayouts = store.bcLayouts
-        val out: RDD[StageOut] = rdd
-          .zipPartitions(store.blocks) { (cands, blocks) =>
-            processStage(cands, blocks, bcQueries, bcTau, bcLayouts, bDim, k, pruning)
-          }
-          .cache()
-        cached += out
-
-        val meta = out.flatMap {
-          case l: LedgerOut => Iterator.single[StageOut](l)
-          case c: CompletedOut => Iterator.single[StageOut](c)
-          case _ => Iterator.empty[StageOut]
-        }.collect()
-
-        val perNode = Array.fill(nNodes)(NodeLedger())
-        meta.foreach {
-          case LedgerOut(node, ledger, entering, pruned) =>
-            perNode(node).add(ledger)
-            enteringByPos(pos) += entering
-            prunedByPos(pos) += pruned
-          case CompletedOut(qIdx, hits) =>
-            heaps(qIdx).offerAll(hits)
-            clientBytes += hits.length.toLong * 12L
-          case _ => ()
-        }
-        stages += StageRecord(stages.size, pos, perNode)
-        taus += bcTau // destroyed after the search: cached stages may recompute
-
-        if (pos < bDim - 1) {
-          rdd = out
-            .flatMap {
-              case SurvivorOut(b) => Iterator.single((b.shard, b))
-              case _ => Iterator.empty[(Int, CandBatch)]
+      // heaps (hence τ) change only at the wave's final merge, so every
+      // position reads the same τ and the whole wave is one Spark job
+      val bcTau = sc.broadcast(heaps.map(_.threshold))
+      val meta = try {
+        var in: RDD[(Int, StageOut)] = sc.parallelize(byNode.toSeq, nNodes).flatMap(_.iterator)
+        var out: RDD[StageOut] = null
+        var pos = 0
+        while (pos < bDim) {
+          val stagePos = pos
+          out = in.zipPartitions(store.blocks) { (recs, blocks) =>
+            // ledgers of earlier positions ride along to the wave's collect
+            val forwarded = ArrayBuffer.empty[StageOut]
+            val cands = recs.flatMap {
+              case (bid, SurvivorOut(b)) => Iterator.single((bid, b))
+              case (_, l) => forwarded += l; Iterator.empty
             }
-            .map { case (_, b) => (b.shard * bDim + b.sliceOrder(b.pos), b) }
-            .partitionBy(plan.partitioner)
+            processStage(cands, blocks, bcQueries, bcTau, bcLayouts, stagePos, bDim, k, pruning) ++
+              forwarded
+          }
+          if (pos < bDim - 1) {
+            in = out
+              .map {
+                case s @ SurvivorOut(b) => (b.shard * bDim + b.sliceOrder(b.pos), s: StageOut)
+                case l: LedgerOut => (l.node, l: StageOut)
+                case c => throw new IllegalStateException(s"$c before the final position")
+              }
+              .partitionBy(plan.partitioner)
+          }
+          pos += 1
         }
-        pos += 1
-      }
-    }
+        out.collect()
+      } finally bcTau.destroy()
 
-    cached.foreach(_.unpersist(blocking = false))
-    taus.foreach(_.destroy())
-    bcQueries.destroy()
+      val perNode = Array.fill(bDim, nNodes)(NodeLedger())
+      meta.foreach {
+        case LedgerOut(p, node, ledger, entering, pruned) =>
+          perNode(p)(node).add(ledger)
+          enteringByPos(p) += entering
+          prunedByPos(p) += pruned
+        case CompletedOut(qIdx, hits) =>
+          heaps(qIdx).offerAll(hits)
+          clientBytes += hits.length.toLong * 12L
+        case s: SurvivorOut => throw new IllegalStateException(s"$s after the final position")
+      }
+      perNode.indices.foreach(p => stages += StageRecord(stages.size, p, perNode(p)))
+    } finally bcQueries.destroy()
 
     val effParams = if (cfg.pipeline) params else params.copy(overlapComm = false)
     val report = Sim.evaluate(stages.toSeq, effParams, nNodes, nQ, clientOps, clientBytes)
@@ -263,6 +270,7 @@ object Engine {
       bcQueries: Broadcast[Array[Array[Float]]],
       bcTau: Broadcast[Array[Double]],
       bcLayouts: Broadcast[Array[ShardLayout]],
+      pos: Int,
       bDim: Int,
       k: Int,
       pruning: Boolean,
@@ -361,7 +369,7 @@ object Engine {
       }
     }
 
-    outs += LedgerOut(node, ledger, entering, prunedCount)
+    outs += LedgerOut(pos, node, ledger, entering, prunedCount)
     outs.iterator
   }
 }

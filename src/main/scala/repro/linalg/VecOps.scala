@@ -85,9 +85,35 @@ object VecOps {
     best
   }
 
-  /** Indices of the `n` nearest centroids, ascending by distance (ties by index). */
+  /** Indices of the `n` nearest centroids, ascending by distance (ties by
+    * index; distances ordered by `java.lang.Double.compare`).
+    *
+    * Partial selection: the best `n` so far are kept sorted in primitive
+    * arrays and each centroid is insertion-placed only if it beats the
+    * current worst. Centroids arrive in index order, so an equal distance
+    * never moves ahead of an earlier index.
+    */
   def nearestN(q: Array[Float], centroids: Array[Array[Float]], n: Int): Array[Int] = {
-    val ds = Array.tabulate(centroids.length)(c => (l2(q, centroids(c)), c))
-    ds.sortBy(t => (t._1, t._2)).take(math.min(n, centroids.length)).map(_._2)
+    val m = math.max(0, math.min(n, centroids.length))
+    val bestD = new Array[Double](m)
+    val bestC = new Array[Int](m)
+    var size = 0
+    var c = 0
+    while (c < centroids.length) {
+      val d = l2(q, centroids(c))
+      if (size < m || (m > 0 && java.lang.Double.compare(d, bestD(m - 1)) < 0)) {
+        var i = if (size < m) size else m - 1
+        while (i > 0 && java.lang.Double.compare(d, bestD(i - 1)) < 0) {
+          bestD(i) = bestD(i - 1)
+          bestC(i) = bestC(i - 1)
+          i -= 1
+        }
+        bestD(i) = d
+        bestC(i) = c
+        if (size < m) size += 1
+      }
+      c += 1
+    }
+    bestC
   }
 }

@@ -2,6 +2,7 @@ package repro
 
 import org.apache.spark.sql.SparkSession
 
+import repro.core.{BlockStore, PartitionPlan}
 import repro.ivf.{BuildTimes, IVFIndex}
 import repro.vectors.{GenConfig, VectorDataset, VectorGen}
 
@@ -40,4 +41,13 @@ object TestFixtures {
   def index(spark: SparkSession, ds: VectorDataset): (IVFIndex, BuildTimes) =
     idxCache.getOrElseUpdate(ds.config.name,
       IVFIndex.build(spark, ds, testNlist, seed = ds.config.seed))
+
+  /** `small`'s index laid out on a `bVec × bDim` plan with storage-balanced
+    * placement, independent of the planner; the caller unpersists the store. */
+  def smallStore(spark: SparkSession, bVec: Int, bDim: Int): (IVFIndex, BlockStore) = {
+    val (idx, _) = index(spark, small)
+    val plan = PartitionPlan.build(bVec, bDim, idx.dim, idx.listSizes.map(_.toDouble),
+      balanced = true)
+    (idx, BlockStore.build(spark, idx, plan))
+  }
 }

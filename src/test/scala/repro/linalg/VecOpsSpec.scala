@@ -154,4 +154,41 @@ class VecOpsSpec extends AnyFunSuite {
       assert(VecOps.nearestN(q, cents, 1).head == VecOps.nearest(q, cents))
     }
   }
+
+  /** The sort-based definition `nearestN` must reproduce exactly. */
+  private def nearestNBySort(q: Array[Float], cents: Array[Array[Float]], n: Int): Array[Int] =
+    Array.tabulate(cents.length)(c => (VecOps.l2(q, cents(c)), c))
+      .sortBy(t => (t._1, t._2)).take(math.min(n, cents.length)).map(_._2)
+
+  test("nearestN equals the full sort on random inputs") {
+    val r = new Random(2024)
+    for (trial <- 0 until 300) {
+      val dim = 1 + r.nextInt(12)
+      val cents = Array.fill(1 + r.nextInt(60))(randVec(dim, r.nextLong()))
+      val q = randVec(dim, r.nextLong())
+      val n = r.nextInt(cents.length + 5) - 1
+      assert(VecOps.nearestN(q, cents, n).toSeq == nearestNBySort(q, cents, n).toSeq,
+        s"trial $trial: n=$n nlist=${cents.length}")
+    }
+  }
+
+  test("nearestN equals the full sort when distances tie") {
+    val r = new Random(77)
+    for (trial <- 0 until 300) {
+      val dim = 1 + r.nextInt(4)
+      // a few small-integer points, repeated: many exactly equal distances
+      val base = Array.fill(1 + r.nextInt(5))(Array.fill(dim)((r.nextInt(5) - 2).toFloat))
+      val cents = Array.fill(1 + r.nextInt(40))(base(r.nextInt(base.length)).clone())
+      val q = Array.fill(dim)((r.nextInt(5) - 2).toFloat)
+      val n = 1 + r.nextInt(cents.length + 2)
+      assert(VecOps.nearestN(q, cents, n).toSeq == nearestNBySort(q, cents, n).toSeq,
+        s"trial $trial: n=$n nlist=${cents.length}")
+    }
+  }
+
+  test("nearestN equals the full sort when every distance is NaN") {
+    val cents = Array.fill(6)(randVec(3, 5))
+    val q = Array(Float.NaN, 0f, 0f)
+    assert(VecOps.nearestN(q, cents, 4).toSeq == nearestNBySort(q, cents, 4).toSeq)
+  }
 }
