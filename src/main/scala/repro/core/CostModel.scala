@@ -1,7 +1,6 @@
 package repro.core
 
-import repro.sim.CostParams
-import repro.vectors.Workloads
+import repro.sim.Sim
 
 /** The fine-grained query planner's cost model (§4.2).
   *
@@ -175,60 +174,49 @@ object CostModel {
     }
   }
 
-  /** Estimate the cost of grid (bVec, bDim).
+  /** Estimate the cost of deploying `plan` under `cfg`: its shards, slices
+    * and nodes are read from the plan; `k`, `nprobe`, `maxWaves`, `alpha`,
+    * `pruning` and `costParams` from the config.
     *
+    * @param listSizes  rows per cluster
     * @param popularity fraction of query probes landing on each cluster
     *                   (sums to 1 over clusters)
-    * @param listSizes  rows per cluster
     * @param nQ         queries in the batch
-    * @param nprobe     probed clusters per query
     */
   def estimate(
-      bVec: Int, bDim: Int, dim: Int,
+      plan: PartitionPlan, cfg: HarmonyConfig,
       listSizes: Array[Int], popularity: Array[Double],
-      nQ: Int, nprobe: Int,
-      params: CostParams, alpha: Double,
-      pruning: Boolean, survival: SurvivalStats,
-      balanced: Boolean = true,
+      nQ: Int, survival: SurvivalStats,
   ): PlanCost = {
-    val surv = if (pruning) survival else SurvivalStats.none(dim)
-    val nNodes = bVec * bDim
+    import plan.{bDim, bVec, dim, nNodes}
+    require(listSizes.length == plan.nlist,
+      s"${listSizes.length} list sizes for a plan over ${plan.nlist} clusters")
+    val params = cfg.costParams
+    val surv = if (cfg.pruning) survival else SurvivalStats.none(dim)
     val nlist = listSizes.length
     // expected probes of cluster c over the batch
-    val probes = popularity.map(_ * nQ * nprobe)
+    val probes = popularity.map(_ * nQ * cfg.nprobe)
     // expected candidate rows contributed by cluster c over the batch
     val rowsByCluster = Array.tabulate(nlist)(c => probes(c) * listSizes(c))
 
-    val weights = Array.tabulate(nlist)(c =>
-      if (balanced) rowsByCluster(c) + 1e-9 * listSizes(c) else listSizes(c).toDouble)
-    val shardOf =
-      if (balanced) PartitionPlan.assignShardsWeighted(weights, bVec)
-      else PartitionPlan.assignShardsNaive(nlist, bVec)
-
     val shardRows = new Array[Double](bVec)
-    for (c <- 0 until nlist) shardRows(shardOf(c)) += rowsByCluster(c)
+    for (c <- 0 until nlist) shardRows(plan.shardOfCluster(c)) += rowsByCluster(c)
 
     // per-node compute: the node hosting (shard s, slice j) scans the
     // candidates that survive to slice j under rotated visit orders
     val loads = new Array[Double](nNodes)
-    val bounds = PartitionPlan.dimSlices(dim, bDim)
     for (s <- 0 until bVec; j <- 0 until bDim) {
-      val node = (s * bDim + j) % nNodes
-      val sliceLen = (bounds(j + 1) - bounds(j)).toDouble
-      loads(node) += shardRows(s) * sliceLen * surv.arrivalSurv(bDim, j)
+      loads(plan.nodeOf(s, j)) += shardRows(s) * plan.sliceLen(j) * surv.arrivalSurv(bDim, j)
     }
     val compMakespan = loads.max * params.dimOpSeconds
 
     // communication: per (query, shard) batch — one query-chunk
     // distribution (total bytes independent of bDim, §4.2.2), bDim−1
-    // partial-state hops carrying survivors, one result return.
-    val pairsByShard = Array.tabulate(bVec) { s =>
-      math.min(nQ.toDouble, (0 until nlist).filter(shardOf(_) == s).map(probes).sum)
-    }
+    // partial-state hops carrying survivors, one return of k 12-byte hits.
     var bytes = 0.0
     var msgs = 0.0
     for (s <- 0 until bVec) {
-      val pairs = pairsByShard(s)
+      val pairs = math.min(nQ.toDouble, plan.clustersOfShard(s).map(probes).sum)
       val rowsPerPair = if (pairs > 0) shardRows(s) / pairs else 0.0
       bytes += pairs * dim * 4.0
       msgs += pairs * bDim
@@ -236,7 +224,7 @@ object CostModel {
         val stateRows = (1 until bDim).map(p => rowsPerPair * surv.positionSurv(bDim, p)).sum
         bytes += pairs * stateRows * StateBytesPerRow
       }
-      bytes += pairs * 12.0 * 10 // top-k result return (k≈10)
+      bytes += pairs * 12.0 * cfg.k
     }
     val commSec = (bytes / nNodes) * params.byteSeconds + (msgs / nNodes) * params.msgLatencySeconds
     // non-blocking transfers overlap with compute (§5): only the excess
@@ -244,29 +232,29 @@ object CostModel {
     val commEffective =
       if (params.overlapComm) math.max(0.0, commSec - compMakespan) else commSec
 
-    val imbalanceOpsStd = Workloads.stddev(loads.toSeq)
-    val imbalanceSec = imbalanceOpsStd * params.dimOpSeconds
+    val imbalanceSec = Sim.stddev(loads) * params.dimOpSeconds
     // each dimension split adds one pipeline stage per vector-level wave
-    val stageSec = params.stageOverheadSeconds * bDim * 4
-    val total = compMakespan + commEffective + stageSec + alpha * imbalanceSec
+    val stageSec = params.stageOverheadSeconds * bDim * cfg.maxWaves
+    val total = compMakespan + commEffective + stageSec + cfg.alpha * imbalanceSec
     PlanCost(bVec, bDim, compMakespan, commSec, imbalanceSec, total, loads)
   }
 
-  /** Choose the best grid for the workload (the paper's planner). */
+  /** Choose the best grid for the workload (the paper's planner): every
+    * candidate is the plan `PartitionPlan.forWorkload` lays out, and the
+    * argmin is returned with its cost for deploy to lay out unchanged. */
   def choose(
-      nNodes: Int, dim: Int,
+      cfg: HarmonyConfig, dim: Int,
       listSizes: Array[Int], popularity: Array[Double],
-      nQ: Int, nprobe: Int,
-      params: CostParams, alpha: Double,
-      pruning: Boolean, survival: SurvivalStats,
-  ): PlanCost = {
-    val cands = PartitionPlan.candidateGrids(nNodes, dim)
-    require(cands.nonEmpty, s"no candidate grids for nNodes=$nNodes dim=$dim")
+      nQ: Int, survival: SurvivalStats,
+  ): (PartitionPlan, PlanCost) = {
+    val cands = PartitionPlan.candidateGrids(cfg.nNodes, dim)
+    require(cands.nonEmpty, s"no candidate grids for nNodes=${cfg.nNodes} dim=$dim")
     cands
       .map { case (bv, bd) =>
-        estimate(bv, bd, dim, listSizes, popularity, nQ, nprobe, params, alpha, pruning, survival)
+        val plan = PartitionPlan.forWorkload(bv, bd, dim, listSizes, popularity, cfg.balancedLoad)
+        (plan, estimate(plan, cfg, listSizes, popularity, nQ, survival))
       }
-      .minBy(c => (c.totalSec, c.bDim)) // prefer fewer dim splits on ties
+      .minBy { case (_, c) => (c.totalSec, c.bDim) } // prefer fewer dim splits on ties
   }
 
   /** Empirical per-cluster probe popularity of a query workload sample. */

@@ -74,10 +74,11 @@ object Harmony {
 
   /** Deploy `index` on the simulated cluster.
     *
-    * The partition plan is fixed per mode for the two baselines and chosen
-    * by the cost model (§4.2) for `Mode.Harmony`, using `workloadSample` to
-    * estimate per-cluster probe popularity — the "anticipated workload" of
-    * the paper's query-load distribution step.
+    * Every mode lays out `PartitionPlan.forWorkload`, with per-cluster probe
+    * popularity estimated from `workloadSample` — the "anticipated workload"
+    * of the paper's query-load distribution step. The grid is fixed per mode
+    * for the two baselines; for `Mode.Harmony` the cost model (§4.2) scores
+    * each candidate plan and the one it returns is deployed unchanged.
     */
   def deploy(
       spark: SparkSession,
@@ -90,27 +91,18 @@ object Harmony {
     val listSizes = index.listSizes
     val probes = workloadSample.map(q => VecOps.nearestN(q, index.centroids, cfg.nprobe))
     val popularity = CostModel.popularityOf(probes.toSeq, index.nlist)
+    def fixed(bVec: Int, bDim: Int): PartitionPlan =
+      PartitionPlan.forWorkload(bVec, bDim, dim, listSizes, popularity, cfg.balancedLoad)
 
-    val (grid, planCost) = cfg.mode match {
-      case Mode.HarmonyVector => ((cfg.nNodes, 1), None)
-      case Mode.HarmonyDimension => ((1, cfg.nNodes), None)
+    val (plan, planCost) = cfg.mode match {
+      case Mode.HarmonyVector => (fixed(cfg.nNodes, 1), None)
+      case Mode.HarmonyDimension => (fixed(1, cfg.nNodes), None)
       case Mode.Harmony =>
         val survival = CostModel.SurvivalStats.fromData(index, workloadSample, k = cfg.k)
-        val c = CostModel.choose(cfg.nNodes, dim, listSizes, popularity,
-          nQ = math.max(1, workloadSample.length), nprobe = cfg.nprobe,
-          params = cfg.costParams, alpha = cfg.alpha, pruning = cfg.pruning,
-          survival = survival)
-        ((c.bVec, c.bDim), Some(c))
+        val (p, c) = CostModel.choose(cfg, dim, listSizes, popularity,
+          nQ = math.max(1, workloadSample.length), survival = survival)
+        (p, Some(c))
     }
-
-    val weights = Array.tabulate(index.nlist) { c =>
-      // expected candidate rows (popularity-weighted) blended with a
-      // uniform-popularity prior: a skewed workload still dominates the
-      // placement, but a uniform one degrades to storage balancing instead
-      // of amplifying sampling noise into storage imbalance
-      (popularity(c) + 1.0 / index.nlist) * listSizes(c)
-    }
-    val plan = PartitionPlan.build(grid._1, grid._2, dim, weights, balanced = cfg.balancedLoad)
     val store = BlockStore.build(spark, index, plan, samplePerCluster = cfg.prewarmPerCluster)
     val times = indexTimes.copy(preAssignMs = store.preAssignMs)
     new HarmonySystem(spark, index, cfg, plan, store, planCost, times)

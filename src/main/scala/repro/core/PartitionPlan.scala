@@ -103,6 +103,22 @@ object PartitionPlan {
     PartitionPlan(nNodes, bVec, bDim, dim, shards, dimSlices(dim, bDim))
   }
 
+  /** The plan deploy lays out for grid (bVec, bDim) under a workload whose
+    * per-cluster probe popularity is `popularity` (sums to 1, or all zeros
+    * for an empty sample). The planner scores exactly this plan. */
+  def forWorkload(bVec: Int, bDim: Int, dim: Int, listSizes: Array[Int],
+                  popularity: Array[Double], balanced: Boolean): PartitionPlan = {
+    val nlist = listSizes.length
+    val weights = Array.tabulate(nlist) { c =>
+      // expected candidate rows (popularity-weighted) blended with a
+      // uniform-popularity prior: a skewed workload still dominates the
+      // placement, but a uniform one degrades to storage balancing instead
+      // of amplifying sampling noise into storage imbalance
+      (popularity(c) + 1.0 / nlist) * listSizes(c)
+    }
+    build(bVec, bDim, dim, weights, balanced)
+  }
+
   /** All grid decompositions of nNodes into (bVec, bDim) divisor pairs. */
   def candidateGrids(nNodes: Int, dim: Int): Seq[(Int, Int)] =
     (1 to nNodes).filter(nNodes % _ == 0).map(bv => (bv, nNodes / bv)).filter(_._2 <= dim)

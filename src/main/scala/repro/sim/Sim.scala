@@ -62,12 +62,8 @@ final case class SimReport(
     perNodeDimOps: Array[Long],
 ) {
   def qps: Double = if (totalSeconds > 0) nQueries / totalSeconds else 0.0
-  /** Std-dev of per-node dim-ops — the measured analogue of I(π). */
-  def loadStddev: Double = {
-    val loads = perNodeDimOps.map(_.toDouble)
-    val mean = loads.sum / loads.length
-    math.sqrt(loads.map(l => (l - mean) * (l - mean)).sum / loads.length)
-  }
+  /** Std-dev of per-node dim-ops — the measured I(π). */
+  def loadStddev: Double = Sim.stddev(perNodeDimOps.map(_.toDouble))
   def loadCV: Double = {
     val loads = perNodeDimOps.map(_.toDouble)
     val mean = loads.sum / loads.length
@@ -76,6 +72,15 @@ final case class SimReport(
 }
 
 object Sim {
+
+  /** Population standard deviation of a per-node load vector — the paper's
+    * imbalance measure I(π) (§4.2.1), both as the planner predicts it and
+    * as `SimReport.loadStddev` measures it. 0 for no loads. */
+  def stddev(loads: Array[Double]): Double = {
+    if (loads.isEmpty) return 0.0
+    val mean = loads.sum / loads.length
+    math.sqrt(loads.map(l => (l - mean) * (l - mean)).sum / loads.length)
+  }
 
   /** Convert stage ledgers into a timing report.
     *

@@ -26,19 +26,4 @@ object Workloads {
     val s = math.max(1.0, keys.size.toDouble)
     h.map(_ / s)
   }
-
-  /** Population standard deviation — the paper's imbalance measure (§4.2.1)
-    * applied to an arbitrary per-node load vector. */
-  def stddev(loads: Seq[Double]): Double = {
-    if (loads.isEmpty) return 0.0
-    val mean = loads.sum / loads.size
-    math.sqrt(loads.map(l => (l - mean) * (l - mean)).sum / loads.size)
-  }
-
-  /** Coefficient of variation of a load vector (0 = perfectly balanced). */
-  def imbalanceCV(loads: Seq[Double]): Double = {
-    if (loads.isEmpty) return 0.0
-    val mean = loads.sum / loads.size
-    if (mean == 0.0) 0.0 else stddev(loads) / mean
-  }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestFixtures => F}
+import repro.linalg.VecOps
 
 class HarmonySpec extends SparkSpec {
 
@@ -32,6 +33,28 @@ class HarmonySpec extends SparkSpec {
       assert(c.bVec * c.bDim == 4)
       assert((c.bVec, c.bDim) == (sys.plan.bVec, sys.plan.bDim))
     } finally sys.shutdown()
+  }
+
+  test("harmony mode deploys exactly the plan the cost model scored") {
+    for (balanced <- Seq(true, false)) {
+      val c = cfg(Mode.Harmony).copy(balancedLoad = balanced)
+      val sys = Harmony.deploy(spark, idx, c, F.small.queries)
+      try {
+        val probes = F.small.queries.toSeq.map(VecOps.nearestN(_, idx.centroids, c.nprobe))
+        val popularity = CostModel.popularityOf(probes, idx.nlist)
+        val survival = CostModel.SurvivalStats.fromData(idx, F.small.queries, k = c.k)
+        val again = CostModel.estimate(sys.plan, c, idx.listSizes, popularity,
+          F.small.queries.length, survival)
+        val got = sys.planCost.get
+        def bits(p: CostModel.PlanCost): Seq[Long] =
+          Seq(p.compMakespanSec, p.commSec, p.imbalanceSec, p.totalSec)
+            .map(java.lang.Double.doubleToRawLongBits)
+        assert((again.bVec, again.bDim) == (got.bVec, got.bDim), s"balanced=$balanced")
+        assert(bits(again) == bits(got), s"balanced=$balanced")
+        assert(again.perNodeLoadOps.map(java.lang.Double.doubleToRawLongBits).toSeq ==
+          got.perNodeLoadOps.map(java.lang.Double.doubleToRawLongBits).toSeq, s"balanced=$balanced")
+      } finally sys.shutdown()
+    }
   }
 
   test("harmony picks a hybrid split on wide-band, flat-energy data") {

@@ -99,6 +99,30 @@ class SimSpec extends AnyFunSuite {
     assert(math.abs(skew.loadCV - 1.0) < 1e-12)
   }
 
+  test("stddev of a uniform load vector is zero") {
+    assert(Sim.stddev(Array(5.0, 5.0, 5.0)) == 0.0)
+  }
+
+  test("stddev matches a hand-computed case") {
+    // loads 2,4,4,4,5,5,7,9 → mean 5, variance 4, std 2 (population)
+    assert(math.abs(Sim.stddev(Array(2, 4, 4, 4, 5, 5, 7, 9).map(_.toDouble)) - 2.0) < 1e-12)
+  }
+
+  test("stddev of empty input is zero") {
+    assert(Sim.stddev(Array.empty) == 0.0)
+  }
+
+  private def loads(ops: Long*): SimReport =
+    SimReport(ops.length, 1, 0, 0, 0, 0, ops.sum, 0, 0, ops.toArray)
+
+  test("loadCV is scale-invariant") {
+    assert(math.abs(loads(1, 2, 3).loadCV - loads(10, 20, 30).loadCV) < 1e-12)
+  }
+
+  test("loadCV of all-zero loads is zero") {
+    assert(loads(0, 0).loadCV == 0.0)
+  }
+
   test("ledger add accumulates all fields") {
     val a = NodeLedger(1, 2, 3, 4, 5)
     a.add(NodeLedger(10, 20, 30, 40, 50))

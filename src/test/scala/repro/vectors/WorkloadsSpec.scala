@@ -48,27 +48,4 @@ class WorkloadsSpec extends AnyFunSuite {
   test("histogram of empty input is all zeros") {
     assert(Workloads.histogram(Seq.empty, 3).forall(_ == 0.0))
   }
-
-  test("stddev of a uniform load vector is zero") {
-    assert(Workloads.stddev(Seq(5.0, 5.0, 5.0)) == 0.0)
-  }
-
-  test("stddev matches a hand-computed case") {
-    // loads 2,4,4,4,5,5,7,9 → mean 5, variance 4, std 2 (population)
-    assert(math.abs(Workloads.stddev(Seq(2, 4, 4, 4, 5, 5, 7, 9).map(_.toDouble)) - 2.0) < 1e-12)
-  }
-
-  test("stddev of empty input is zero") {
-    assert(Workloads.stddev(Seq.empty) == 0.0)
-  }
-
-  test("imbalanceCV is scale-invariant") {
-    val a = Workloads.imbalanceCV(Seq(1.0, 2.0, 3.0))
-    val b = Workloads.imbalanceCV(Seq(10.0, 20.0, 30.0))
-    assert(math.abs(a - b) < 1e-12)
-  }
-
-  test("imbalanceCV of all-zero loads is zero") {
-    assert(Workloads.imbalanceCV(Seq(0.0, 0.0)) == 0.0)
-  }
 }
