@@ -15,8 +15,7 @@ import repro.vectors.Datasets
 class Fig7SkewBench extends SparkSpec {
 
   test("Fig 7: impact of load skew on query performance (4 nodes)") {
-    val levels = Seq(0.0, 0.5, 1.0)
-    val curves = Datasets.small8.map(c => Experiments.fig7(spark, c, levels))
+    val curves = Datasets.small8.map(c => Experiments.fig7(spark, c)) // skew 0, 0.5, 1
     println(Experiments.fig7Render(curves).render)
 
     // measured load variance grows with the engineered skew

@@ -13,7 +13,7 @@ import repro.vectors.Datasets
 class Fig9AblationBench extends SparkSpec {
 
   test("Fig 9: optimization technique contributions (4 nodes, moderate skew)") {
-    val rows = Experiments.fig9(spark, Datasets.small8, skewLevel = 0.6)
+    val rows = Experiments.fig9(spark, Datasets.small8) // skew 0.6
     println(Experiments.fig9Render(rows).render)
 
     def avg(f: Experiments.F9Row => Double): Double = rows.map(f).sum / rows.size

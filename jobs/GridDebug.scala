@@ -14,8 +14,8 @@ import repro.vectors.Datasets
   * `Experiments.adversarialQueries` at that level (Fig 9 uses 0.6), without
   * one it is the dataset's own queries; either way the batch is also the
   * planner's workload sample, as in the paper benches. Each grid is laid out
-  * by `PartitionPlan.forWorkload` and searched with the deployed system's
-  * engine config. Per grid it prints the estimated total, compute makespan,
+  * by `PartitionPlan.forWorkload` and searched under the same
+  * `HarmonyConfig`. Per grid it prints the estimated total, compute makespan,
   * communication (before overlap) and per-node loads (M dim-ops), then the
   * simulated total, its comp/comm/other split, the measured per-node dim-ops
   * (M) and the speedup over single-node Faiss.

@@ -62,7 +62,7 @@ object Fig7Skew {
   def main(args: Array[String]): Unit = {
     val spark = Jobs.session("fig7")
     try {
-      val curves = Datasets.small8.map(c => E.fig7(spark, c, Seq(0.0, 0.35, 0.7, 1.0)))
+      val curves = Datasets.small8.map(c => E.fig7(spark, c))
       println(E.fig7Render(curves).render)
     } finally spark.stop()
   }

@@ -23,9 +23,10 @@ object Faiss {
       hs
     }
     val ledger = NodeLedger(dimOps = ops)
+    // one stage, one node, no communication: both regimes agree
     val report = Sim.evaluate(
       Seq(StageRecord(0, 0, Array(ledger))),
-      params, nNodes = 1, nQueries = queries.length)
+      params, overlapComm = true, nNodes = 1, nQueries = queries.length)
     FaissResult(hits, report)
   }
 }

@@ -228,9 +228,10 @@ object CostModel {
     }
     val commSec = (bytes / nNodes) * params.byteSeconds + (msgs / nNodes) * params.msgLatencySeconds
     // non-blocking transfers overlap with compute (§5): only the excess
-    // over the compute critical path surfaces as latency
-    val commEffective =
-      if (params.overlapComm) math.max(0.0, commSec - compMakespan) else commSec
+    // over the compute critical path surfaces as latency. Plans with
+    // `cfg.pipeline` off are priced as if pipelined too: their single
+    // blocking wave is not modelled yet.
+    val commEffective = math.max(0.0, commSec - compMakespan)
 
     val imbalanceSec = Sim.stddev(loads) * params.dimOpSeconds
     // each dimension split adds one pipeline stage per vector-level wave

@@ -9,32 +9,7 @@ import org.apache.spark.sql.SparkSession
 
 import repro.ivf.IVFIndex
 import repro.linalg.{BoundedMaxHeap, Hit, VecOps}
-import repro.sim.{CostParams, NodeLedger, Sim, SimReport, StageRecord}
-
-/** Slice execution-order policy for the dimension pipeline (§4.3, "Load
-  * Balancing Strategies"). `InOrder` processes slices in dimension order
-  * (used by the Table 3 pruning measurement); `RoundRobin` staggers batch
-  * start offsets; `LoadAware` greedily picks each batch's start offset to
-  * even out first-stage node load (the paper's deferred-dimension scheme).
-  */
-sealed trait Rotation extends Serializable
-object Rotation {
-  case object InOrder extends Rotation
-  case object RoundRobin extends Rotation
-  case object LoadAware extends Rotation
-}
-
-/** Engine knobs; the Fig 9 ablation flips `pruning` and `pipeline`. */
-final case class EngineConfig(
-    k: Int = 10,
-    nprobe: Int = 16,
-    pruning: Boolean = true,
-    /** wave pipelining (vector-level threshold tightening) + overlapped comm */
-    pipeline: Boolean = true,
-    rotation: Rotation = Rotation.LoadAware,
-    maxWaves: Int = 4,
-    prewarmPerCluster: Int = 4,
-)
+import repro.sim.{NodeLedger, Sim, SimReport, StageRecord}
 
 /** In-flight state of one (query, vector-shard) pair: which clusters to
   * scan, the slice visit order, the current pipeline position, and the
@@ -102,13 +77,15 @@ final case class EngineResult(
   */
 object Engine {
 
+  /** Search one batch on `store` under the deployed `cfg`, the only
+    * configuration the engine reads. Every query must have `index.dim`
+    * components and no NaN. */
   def search(
       spark: SparkSession,
       store: BlockStore,
       index: IVFIndex,
       queries: Array[Array[Float]],
-      cfg: EngineConfig,
-      params: CostParams,
+      cfg: HarmonyConfig,
   ): EngineResult = {
     val plan = store.plan
     val nNodes = plan.nNodes
@@ -116,6 +93,10 @@ object Engine {
     val sc = spark.sparkContext
     val nQ = queries.length
     require(nQ > 0, "empty query batch")
+    queries.zipWithIndex.foreach { case (q, qi) =>
+      require(q.length == index.dim, s"query $qi has ${q.length} components, index has ${index.dim}")
+      require(!q.exists(_.isNaN), s"query $qi contains NaN")
+    }
 
     var clientOps = 0L
     var clientBytes = 0L
@@ -148,7 +129,7 @@ object Engine {
     // `effWaves` chunks; completed distances of earlier waves tighten τ for
     // later ones. Within a wave, clusters group into per-shard batches.
     final case class Pair(qIdx: Int, shard: Int, clusters: Array[Int], nRows: Int)
-    val effWaves = if (cfg.pipeline) math.max(1, cfg.maxWaves) else 1
+    val effWaves = if (cfg.pipeline) cfg.maxWaves else 1
     val waves: IndexedSeq[Seq[Pair]] = {
       val buckets = IndexedSeq.fill(effWaves)(ArrayBuffer.empty[Pair])
       (0 until nQ).foreach { qi =>
@@ -174,18 +155,19 @@ object Engine {
 
     val bcQueries = sc.broadcast(queries)
     try waves.filter(_.nonEmpty).foreach { wave =>
-      // slice start offsets (rotation)
+      // slice start offsets (§4.3 load balancing): in dimension order
+      // without balanced load, otherwise each batch, largest first, starts
+      // at the slice whose node has the least first-stage load so far
       val nodeLoad = new Array[Long](nNodes)
       val ordered = wave.sortBy(p => (-p.nRows, p.qIdx, p.shard))
-      val offsets: Map[(Int, Int), Int] = ordered.zipWithIndex.map { case (p, i) =>
-        val off = (cfg.rotation, bDim) match {
-          case (_, 1) | (Rotation.InOrder, _) => 0
-          case (Rotation.RoundRobin, _) => i % bDim
-          case (Rotation.LoadAware, _) =>
+      val offsets: Map[(Int, Int), Int] = ordered.map { p =>
+        val off =
+          if (!cfg.balancedLoad || bDim == 1) 0
+          else {
             val best = (0 until bDim).minBy(o => nodeLoad(plan.nodeOf(p.shard, o)))
             nodeLoad(plan.nodeOf(p.shard, best)) += p.nRows
             best
-        }
+          }
         ((p.qIdx, p.shard), off)
       }.toMap
 
@@ -248,8 +230,8 @@ object Engine {
       perNode.indices.foreach(p => stages += StageRecord(stages.size, p, perNode(p)))
     } finally bcQueries.destroy()
 
-    val effParams = if (cfg.pipeline) params else params.copy(overlapComm = false)
-    val report = Sim.evaluate(stages.toSeq, effParams, nNodes, nQ, clientOps, clientBytes)
+    val report = Sim.evaluate(stages.toSeq, cfg.costParams, overlapComm = cfg.pipeline,
+      nNodes, nQ, clientOps, clientBytes)
 
     val peaks = new Array[Long](nNodes)
     stages.foreach(st => (0 until nNodes).foreach { n =>

@@ -19,7 +19,8 @@ object Mode {
 
 /** System-level configuration mirroring the paper's CLI parameters
   * (`-NMachine`, `-Pruning_Configuration`, `-Indexing_Parameters`, `-α`,
-  * `-Mode`) plus the ablation toggles of §6.3.2.
+  * `-Mode`) plus the ablation toggles of §6.3.2. It is the only
+  * configuration: deploy, the planner and the engine all read it.
   */
 final case class HarmonyConfig(
     nNodes: Int = 4,
@@ -27,8 +28,12 @@ final case class HarmonyConfig(
     k: Int = 10,
     nprobe: Int = 16,
     pruning: Boolean = true,
+    /** vector-level waves tightening τ², simulated with overlapped comm;
+      * off → one wave, simulated as blocking stages (the planner prices
+      * both as overlapped) */
     pipeline: Boolean = true,
-    /** load-aware placement + rotation; off → naive cluster placement */
+    /** load-aware placement + slice rotation; off → naive cluster placement,
+      * slices visited in dimension order */
     balancedLoad: Boolean = true,
     /** weight of the imbalance term; per-node makespan already prices the
       * bulk of skew, so the default expresses a mild extra skew-aversion */
@@ -36,7 +41,26 @@ final case class HarmonyConfig(
     maxWaves: Int = 4,
     prewarmPerCluster: Int = 4,
     costParams: CostParams = CostParams(),
-)
+) {
+  require(nNodes >= 1, s"nNodes must be at least 1: $nNodes")
+  require(k >= 1, s"k must be at least 1: $k")
+  require(nprobe >= 1, s"nprobe must be at least 1: $nprobe")
+  require(maxWaves >= 1, s"maxWaves must be at least 1: $maxWaves")
+  require(prewarmPerCluster >= 0, s"prewarmPerCluster must be non-negative: $prewarmPerCluster")
+  require(alpha >= 0, s"alpha must be non-negative: $alpha")
+}
+
+object HarmonyConfig {
+
+  /** The Auncel comparator (§6.5.4). Auncel distributes work with a *fixed*
+    * vector-based partitioning and no dimension-level pruning or load-aware
+    * placement — the paper itself characterizes its distribution as
+    * "similar to Harmony-vector". We model exactly that: vector
+    * partitioning, static (naive) cluster placement, pruning off. */
+  def auncel(nNodes: Int, k: Int, nprobe: Int): HarmonyConfig = HarmonyConfig(
+    nNodes = nNodes, mode = Mode.HarmonyVector, k = k, nprobe = nprobe,
+    pruning = false, balancedLoad = false)
+}
 
 /** A deployed Harmony system: an IVF index laid out on the simulated
   * cluster per the chosen partition plan, ready to serve query batches.
@@ -50,22 +74,9 @@ final class HarmonySystem(
     val planCost: Option[CostModel.PlanCost],
     val buildTimes: BuildTimes,
 ) {
-  def engineConfig: EngineConfig = EngineConfig(
-    k = cfg.k,
-    nprobe = cfg.nprobe,
-    pruning = cfg.pruning,
-    pipeline = cfg.pipeline,
-    rotation = if (cfg.balancedLoad) Rotation.LoadAware else Rotation.InOrder,
-    maxWaves = cfg.maxWaves,
-    prewarmPerCluster = cfg.prewarmPerCluster,
-  )
-
   /** Execute one query batch through the pipelined engine. */
-  def search(queries: Array[Array[Float]],
-             rotationOverride: Option[Rotation] = None): EngineResult = {
-    val ec = rotationOverride.fold(engineConfig)(r => engineConfig.copy(rotation = r))
-    Engine.search(spark, store, index, queries, ec, cfg.costParams)
-  }
+  def search(queries: Array[Array[Float]]): EngineResult =
+    Engine.search(spark, store, index, queries, cfg)
 
   def shutdown(): Unit = store.unpersist()
 }

@@ -4,7 +4,7 @@ import scala.collection.concurrent.TrieMap
 
 import org.apache.spark.sql.SparkSession
 
-import repro.baselines.{Auncel, Faiss}
+import repro.baselines.Faiss
 import repro.core._
 import repro.ivf.{BuildTimes, IVFIndex}
 import repro.metrics.Recall
@@ -131,16 +131,17 @@ object Experiments {
   }
 
   /** Dimension split of size 4, slices processed in dimension order (the
-    * paper's Table 3 measurement isolates the pruning strategy). */
+    * paper's Table 3 measurement isolates the pruning strategy): without
+    * balanced load every batch starts at the first slice, and with a single
+    * vector shard the placement is the same either way. */
   def table3(spark: SparkSession, datasets: Seq[GenConfig] = Datasets.small8,
              nprobe: Int = DefaultNprobe): Seq[T3Row] =
     datasets.map { cfg =>
       val (ds, idx, _) = indexed(spark, cfg)
-      val sys = deployMode(spark, idx, Mode.HarmonyDimension, DefaultNodes, nprobe, ds.queries)
-      try {
-        val res = sys.search(ds.queries, rotationOverride = Some(Rotation.InOrder))
-        T3Row(cfg.name, res.pruneRatios)
-      } finally sys.shutdown()
+      val sys = deployMode(spark, idx, Mode.HarmonyDimension, DefaultNodes, nprobe, ds.queries,
+        balanced = false)
+      try T3Row(cfg.name, sys.search(ds.queries).pruneRatios)
+      finally sys.shutdown()
     }
 
   def table3Render(rows: Seq[T3Row]): ExpUtil.Table = ExpUtil.Table(
@@ -245,7 +246,7 @@ object Experiments {
                            harmonyOpsRate: Double)
   final case class F7Curve(name: String, points: Seq[F7Point])
 
-  def fig7(spark: SparkSession, cfg: GenConfig, skewLevels: Seq[Double],
+  def fig7(spark: SparkSession, cfg: GenConfig, skewLevels: Seq[Double] = Seq(0.0, 0.5, 1.0),
            nNodes: Int = DefaultNodes, nprobe: Int = DefaultNprobe): F7Curve = {
     val (ds, idx, _) = indexed(spark, cfg)
     val points = skewLevels.map { skew =>
@@ -258,7 +259,8 @@ object Experiments {
       val d = run(Mode.HarmonyDimension)
       val h = run(Mode.Harmony)
       val a = {
-        val sys = Auncel.deploy(spark, idx, nNodes, DefaultK, nprobe)
+        val sys = Harmony.deploy(spark, idx, HarmonyConfig.auncel(nNodes, DefaultK, nprobe),
+          workloadSample = Array.empty)
         try sys.search(queries) finally sys.shutdown()
       }
       // imbalance measured on the traditional (vector) distribution, as the
@@ -317,7 +319,7 @@ object Experiments {
   }
 
   def fig9(spark: SparkSession, datasets: Seq[GenConfig], nNodes: Int = DefaultNodes,
-           nprobe: Int = DefaultNprobe, skewLevel: Double = 0.5): Seq[F9Row] =
+           nprobe: Int = DefaultNprobe, skewLevel: Double = 0.6): Seq[F9Row] =
     datasets.map { cfg =>
       val (ds, idx, _) = indexed(spark, cfg)
       val queries = adversarialQueries(idx, ds, nNodes, cfg.nQueries, skewLevel, nprobe = nprobe)

@@ -65,11 +65,4 @@ object TopK {
     while (i < ids.length) { h.offer(ids(i), VecOps.l2(q, data(i))); i += 1 }
     h.toSortedArray
   }
-
-  /** Merge several hit lists into one top-K (dedupes by id). */
-  def merge(k: Int, lists: Seq[Array[Hit]]): Array[Hit] = {
-    val h = new BoundedMaxHeap(k)
-    lists.foreach(l => h.offerAll(l))
-    h.toSortedArray
-  }
 }

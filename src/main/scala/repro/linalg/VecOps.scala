@@ -57,12 +57,6 @@ object VecOps {
   /** Euclidean norm. */
   def norm(a: Array[Float]): Double = math.sqrt(dot(a, a))
 
-  /** Cosine similarity; 0 for a zero vector. */
-  def cosine(a: Array[Float], b: Array[Float]): Double = {
-    val na = norm(a); val nb = norm(b)
-    if (na == 0.0 || nb == 0.0) 0.0 else dot(a, b) / (na * nb)
-  }
-
   /** In-place L2 normalization; no-op on the zero vector. */
   def normalizeInPlace(a: Array[Float]): Unit = {
     val n = norm(a)

@@ -25,9 +25,6 @@ final case class CostParams(
       * worker compute, so it is priced an order of magnitude below the
       * per-worker serial rate */
     clientDimOpSeconds: Double = 2e-11,
-    /** Non-blocking MPI-style overlap: stage time = max(comp, comm) per node
-      * instead of comp + comm. Toggled off for the Fig 9 pipeline ablation. */
-    overlapComm: Boolean = true,
 )
 
 /** Per-node ledger for one pipeline stage: counted, never timed. */
@@ -92,8 +89,8 @@ object Sim {
     * the previous stage" — stages flow through the cluster concurrently, so
     * the critical path is the *busiest node's total* work:
     * `max_n max(Σ comp_n, Σ comm_n)`. With `overlapComm = false` (the
-    * Fig 9 pipeline ablation) every stage is a blocking barrier:
-    * `Σ_stages max_n (comp + comm)`.
+    * Fig 9 pipeline ablation, `HarmonyConfig.pipeline` off) every stage is
+    * a blocking barrier: `Σ_stages max_n (comp + comm)`.
     *
     * The breakdown attributes the compute critical path to `comp` and the
     * residual to `comm`; fixed per-stage scheduling cost and client-side
@@ -102,6 +99,7 @@ object Sim {
   def evaluate(
       stages: Seq[StageRecord],
       params: CostParams,
+      overlapComm: Boolean,
       nNodes: Int,
       nQueries: Int,
       clientDimOps: Long = 0L,
@@ -136,13 +134,13 @@ object Sim {
         totMsgs += l.msgsIn
         n += 1
       }
-      if (!params.overlapComm) {
+      if (!overlapComm) {
         comp += stageComp
         comm += math.max(0.0, stageTime - stageComp)
       }
       other += params.stageOverheadSeconds
     }
-    if (params.overlapComm && stages.nonEmpty) {
+    if (overlapComm && stages.nonEmpty) {
       comp = nodeComp.max
       val core = (0 until nNodes).map(n => math.max(nodeComp(n), nodeComm(n))).max
       comm = math.max(0.0, core - comp)

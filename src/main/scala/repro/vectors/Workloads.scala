@@ -18,12 +18,4 @@ object Workloads {
   /** Build a query workload at the given skew level. */
   def queries(cfg: GenConfig, nQ: Int, skewLevel: Double, seed: Long = 991L): Array[Array[Float]] =
     VectorGen.genQueries(cfg, nQ, alphaFor(skewLevel), seed)
-
-  /** Empirical per-key load histogram → normalized counts. */
-  def histogram(keys: Seq[Int], nKeys: Int): Array[Double] = {
-    val h = new Array[Double](nKeys)
-    keys.foreach(k => h(k) += 1.0)
-    val s = math.max(1.0, keys.size.toDouble)
-    h.map(_ / s)
-  }
 }

@@ -5,7 +5,6 @@ import java.security.MessageDigest
 import org.apache.spark.sql.SparkSession
 
 import repro.{SparkSpec, TestFixtures => F}
-import repro.sim.CostParams
 
 /** Pins the simulated clock: every counted quantity and every top-K result
   * of a fixed search must reproduce the recorded values exactly. Doubles are
@@ -16,29 +15,32 @@ import repro.sim.CostParams
 class EngineGoldenSpec extends SparkSpec {
   import EngineGoldenSpec._
 
-  for ((bVec, bDim) <- grids; rotation <- rotations) {
-    val key = caseKey(bVec, bDim, rotation)
+  for ((bVec, bDim) <- grids; balanced <- Seq(true, false)) {
+    val key = caseKey(bVec, bDim, balanced)
     test(s"grid $key reproduces the recorded ledgers and top-K bit for bit") {
-      assert(searchCase(spark, bVec, bDim, rotation) == golden(key))
+      assert(searchCase(spark, bVec, bDim, balanced) == golden(key))
     }
   }
 }
 
 object EngineGoldenSpec {
   val grids: Seq[(Int, Int)] = Seq((4, 1), (2, 2), (1, 4))
-  val rotations: Seq[Rotation] = Seq(Rotation.LoadAware, Rotation.RoundRobin)
   val k = 10
   val nprobe = 8
 
-  def caseKey(bVec: Int, bDim: Int, rotation: Rotation): String = s"${bVec}x$bDim/$rotation"
+  def caseKey(bVec: Int, bDim: Int, balanced: Boolean): String =
+    s"${bVec}x$bDim/${if (balanced) "LoadAware" else "InOrder"}"
 
   /** Deploy `F.small` on a `bVec × bDim` plan (storage-balanced placement),
-    * search its queries in 4 waves with pruning on, and render the result. */
-  def searchCase(spark: SparkSession, bVec: Int, bDim: Int, rotation: Rotation): Seq[String] = {
+    * search its queries in 4 waves with pruning on — slice visit orders
+    * rotated load-aware with `balanced`, in dimension order without — and
+    * render the result. */
+  def searchCase(spark: SparkSession, bVec: Int, bDim: Int, balanced: Boolean): Seq[String] = {
     val (idx, store) = F.smallStore(spark, bVec, bDim)
     try {
-      val cfg = EngineConfig(k = k, nprobe = nprobe, rotation = rotation, maxWaves = 4)
-      render(Engine.search(spark, store, idx, F.small.queries, cfg, CostParams()))
+      val cfg = HarmonyConfig(nNodes = bVec * bDim, k = k, nprobe = nprobe,
+        balancedLoad = balanced, maxWaves = 4)
+      render(Engine.search(spark, store, idx, F.small.queries, cfg))
     } finally store.unpersist()
   }
 
@@ -59,8 +61,9 @@ object EngineGoldenSpec {
     )
   }
 
-  /** Recorded from the engine that returned to the driver after every
-    * dimension slice (one Spark job per wave position). */
+  /** The `LoadAware` cases were recorded from the engine that returned to
+    * the driver after every dimension slice (one Spark job per wave
+    * position); the `InOrder` cases from the one-job-per-wave engine. */
   val golden: Map[String, Seq[String]] = Map(
     "4x1/LoadAware" -> Seq(
       "nodes=4 queries=24 dimOps=6807680 bytes=50300 msgs=173",
@@ -71,7 +74,7 @@ object EngineGoldenSpec {
       "perNodePeakStateBytes=3652,3384,4172,3652",
       "topK=240 hits sha256 5ce654eb26b5dccbad73ac58adc5bc05d58cf40e33d656847c64f2055fc2d1dd",
     ),
-    "4x1/RoundRobin" -> Seq(
+    "4x1/InOrder" -> Seq(
       "nodes=4 queries=24 dimOps=6807680 bytes=50300 msgs=173",
       "comp=3f3b86c0ba4a0744 comm=0 other=3f183c7cfffb3874 total=3f40caeffd246ab0",
       "perNodeDimOps=2100096,1401280,1745472,1462528",
@@ -89,13 +92,13 @@ object EngineGoldenSpec {
       "perNodePeakStateBytes=104432,91400,59308,51544",
       "topK=240 hits sha256 a961b5c3adb3d8876035d07f978df60f13de3130afee8dab4cd967c6b1438a75",
     ),
-    "2x2/RoundRobin" -> Seq(
-      "nodes=4 queries=24 dimOps=4772224 bytes=527924 msgs=220",
-      "comp=3f33e438794337e3 comm=3f2d86dfbed32036 other=3f265a2c97c8bf0e total=3f46ea5f524893c2",
-      "perNodeDimOps=1517600,1233152,1080960,842208",
-      "pruneEntering=104834,41226",
-      "prunePruned=63608,24522",
-      "perNodePeakStateBytes=93240,100912,65472,45884",
+    "2x2/InOrder" -> Seq(
+      "nodes=4 queries=24 dimOps=4322624 bytes=356252 msgs=196",
+      "comp=3f3966e7115cf9cb comm=3f186a92c27b3f54 other=3f265a2c97c8bf0e total=3f45575106f01494",
+      "perNodeDimOps=1938016,550752,1416672,318880",
+      "pruneEntering=104834,27176",
+      "prunePruned=77658,10472",
+      "perNodePeakStateBytes=2812,179008,2804,101264",
       "topK=240 hits sha256 a961b5c3adb3d8876035d07f978df60f13de3130afee8dab4cd967c6b1438a75",
     ),
     "1x4/LoadAware" -> Seq(
@@ -107,14 +110,14 @@ object EngineGoldenSpec {
       "perNodePeakStateBytes=83184,78432,81228,82440",
       "topK=240 hits sha256 310ddbde18ce47d7f488416901db45034b948ee55b3ff3904d103aef283eb0cf",
     ),
-    "1x4/RoundRobin" -> Seq(
-      "nodes=4 queries=24 dimOps=3845952 bytes=1573024 msgs=259",
-      "comp=3f2dc86d0aa82133 comm=3f5021d6d77726a7 other=3f357cbf455c1ef5 total=3f593a144a23328a",
-      "perNodeDimOps=1136128,794032,868944,948544",
-      "pruneEntering=104834,61878,40311,27205",
-      "prunePruned=42956,21567,13106,10501",
-      "perNodePeakStateBytes=80928,84876,81408,82608",
-      "topK=240 hits sha256 ed7b77c20956ef0fc6db4539996f5d4c348e10628a11a6aed02351b2029025bd",
+    "1x4/InOrder" -> Seq(
+      "nodes=4 queries=24 dimOps=3178544 bytes=1070356 msgs=226",
+      "comp=3f35fc3b865b26d8 comm=3f48d6751e0d7cd8 other=3f357cbf455c1ef5 total=3f57497941f48fdf",
+      "perNodeDimOps=1677344,638176,434816,329904",
+      "pruneEntering=104834,39886,27176,20619",
+      "prunePruned=64948,12710,6557,3915",
+      "perNodePeakStateBytes=1728,313092,277200,239304",
+      "topK=240 hits sha256 da51d84fa1bbb40131a51fac5297ef08a448be3c58441911beee366667e3341d",
     ),
   )
 }

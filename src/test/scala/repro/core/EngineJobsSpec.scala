@@ -9,7 +9,6 @@ import org.scalatest.time.{Seconds, Span}
 
 import repro.{SparkSpec, TestFixtures => F}
 import repro.ivf.IVFIndex
-import repro.sim.CostParams
 
 /** How a search uses Spark: one job per non-empty wave with one stage per
   * dimension slice, nothing left cached, and nothing left broadcast when a
@@ -35,8 +34,8 @@ class EngineJobsSpec extends SparkSpec with Eventually {
   }
 
   private def search(idx: IVFIndex, store: BlockStore, nprobe: Int, pipeline: Boolean) =
-    Engine.search(spark, store, idx, F.small.queries,
-      EngineConfig(k = 10, nprobe = nprobe, pipeline = pipeline, maxWaves = 4), CostParams())
+    Engine.search(spark, store, idx, F.small.queries, HarmonyConfig(nNodes = store.plan.nNodes,
+      k = 10, nprobe = nprobe, pipeline = pipeline, maxWaves = 4))
 
   // nprobe 8 in 4 waves fills every wave; nprobe 3 leaves the fourth empty;
   // without pipelining there is a single wave

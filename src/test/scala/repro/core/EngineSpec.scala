@@ -81,18 +81,19 @@ class EngineSpec extends SparkSpec {
 
   // ---- pruning ledger -----------------------------------------------
 
+  // without balanced load every batch visits the slices in dimension order
   test("dimension mode: first-slice pruning ratio is zero") {
-    val sys = deploy(Mode.HarmonyDimension)
+    val sys = deploy(Mode.HarmonyDimension, balanced = false)
     try {
-      val r = sys.search(F.small.queries, rotationOverride = Some(Rotation.InOrder))
+      val r = sys.search(F.small.queries)
       assert(r.pruneRatios.head == 0.0)
     } finally sys.shutdown()
   }
 
   test("dimension mode: pruning ratios are non-decreasing across positions") {
-    val sys = deploy(Mode.HarmonyDimension)
+    val sys = deploy(Mode.HarmonyDimension, balanced = false)
     try {
-      val r = sys.search(F.small.queries, rotationOverride = Some(Rotation.InOrder))
+      val r = sys.search(F.small.queries)
       val ratios = r.pruneRatios.toSeq
       ratios.sliding(2).foreach(w => assert(w(1) >= w(0) - 1e-12, ratios.mkString(",")))
     } finally sys.shutdown()
@@ -104,9 +105,10 @@ class EngineSpec extends SparkSpec {
     def secondSliceRatio(ds: repro.vectors.VectorDataset): Double = {
       val (idx, _) = F.index(spark, ds)
       val sys = Harmony.deploy(spark, idx,
-        HarmonyConfig(nNodes = 4, mode = Mode.HarmonyDimension, k = k, nprobe = nprobe),
+        HarmonyConfig(nNodes = 4, mode = Mode.HarmonyDimension, k = k, nprobe = nprobe,
+          balancedLoad = false),
         workloadSample = ds.queries)
-      try sys.search(ds.queries, rotationOverride = Some(Rotation.InOrder)).pruneRatios(1)
+      try sys.search(ds.queries).pruneRatios(1)
       finally sys.shutdown()
     }
     assert(secondSliceRatio(F.decay) > secondSliceRatio(F.flat))
@@ -204,13 +206,36 @@ class EngineSpec extends SparkSpec {
   // ---- rotation ------------------------------------------------------
 
   test("rotation policies do not change results") {
-    val sys = deploy(Mode.HarmonyDimension)
+    // one vector shard: the same plan either way, only the slice visit
+    // order differs (in dimension order vs load-aware rotation)
+    val inOrder = deploy(Mode.HarmonyDimension, balanced = false)
+    val loadAware = deploy(Mode.HarmonyDimension)
     try {
-      val a = sys.search(F.small.queries, rotationOverride = Some(Rotation.InOrder))
-      val b = sys.search(F.small.queries, rotationOverride = Some(Rotation.RoundRobin))
-      val c = sys.search(F.small.queries, rotationOverride = Some(Rotation.LoadAware))
+      val a = inOrder.search(F.small.queries)
+      val b = loadAware.search(F.small.queries)
+      assert(a.pruneEntering.toSeq != b.pruneEntering.toSeq, "rotation had no effect")
       assertSameTopK(a.hits, b.hits)
-      assertSameTopK(a.hits, c.hits)
+    } finally { inOrder.shutdown(); loadAware.shutdown() }
+  }
+
+  // ---- input validation ----------------------------------------------
+
+  test("a query with the wrong number of components is rejected") {
+    val sys = deploy(Mode.Harmony)
+    try {
+      val short = F.small.queries(0).take(F.small.dim - 1)
+      val e = intercept[IllegalArgumentException](sys.search(Array(F.small.queries(1), short)))
+      assert(e.getMessage.contains("query 1 has"))
+    } finally sys.shutdown()
+  }
+
+  test("a query containing NaN is rejected") {
+    val sys = deploy(Mode.Harmony)
+    try {
+      val q = F.small.queries(0).clone()
+      q(3) = Float.NaN
+      val e = intercept[IllegalArgumentException](sys.search(Array(q)))
+      assert(e.getMessage.contains("NaN"))
     } finally sys.shutdown()
   }
 

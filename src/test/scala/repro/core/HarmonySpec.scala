@@ -92,16 +92,17 @@ class HarmonySpec extends SparkSpec {
     finally sys.shutdown()
   }
 
-  test("engineConfig mirrors system toggles") {
-    val c = HarmonyConfig(nNodes = 4, mode = Mode.Harmony, k = 7, nprobe = 3,
-      pruning = false, pipeline = false, balancedLoad = false)
-    val sys = Harmony.deploy(spark, idx, c, F.small.queries)
+  test("dimension mode lays out the same plan with balancedLoad on and off") {
+    // one vector shard holds every cluster, so only the slice visit order
+    // (load-aware vs dimension order) depends on the toggle
+    val on = Harmony.deploy(spark, idx, cfg(Mode.HarmonyDimension), F.small.queries)
+    val off = Harmony.deploy(spark, idx,
+      cfg(Mode.HarmonyDimension).copy(balancedLoad = false), F.small.queries)
     try {
-      val ec = sys.engineConfig
-      assert(ec.k == 7 && ec.nprobe == 3)
-      assert(!ec.pruning && !ec.pipeline)
-      assert(ec.rotation == Rotation.InOrder)
-    } finally sys.shutdown()
+      assert(on.plan.shardOfCluster.toSeq == off.plan.shardOfCluster.toSeq)
+      assert(on.plan.shardOfCluster.forall(_ == 0))
+      assert(on.plan.sliceBounds.toSeq == off.plan.sliceBounds.toSeq)
+    } finally { on.shutdown(); off.shutdown() }
   }
 
   test("balancedLoad toggle switches to naive placement") {
@@ -133,5 +134,20 @@ class HarmonySpec extends SparkSpec {
       assert(r.hits.length == 4)
       assert(r.hits.forall(_.nonEmpty))
     } finally sys.shutdown()
+  }
+
+  // ---- configuration validation --------------------------------------
+
+  for ((field, bad) <- Seq[(String, HarmonyConfig => HarmonyConfig)](
+         "nNodes" -> (_.copy(nNodes = 0)),
+         "k" -> (_.copy(k = 0)),
+         "nprobe" -> (_.copy(nprobe = 0)),
+         "maxWaves" -> (_.copy(maxWaves = 0)),
+         "prewarmPerCluster" -> (_.copy(prewarmPerCluster = -1)),
+         "alpha" -> (_.copy(alpha = -0.5)))) {
+    test(s"HarmonyConfig rejects an out-of-range $field") {
+      val e = intercept[IllegalArgumentException](bad(HarmonyConfig()))
+      assert(e.getMessage.contains(s"$field must"))
+    }
   }
 }

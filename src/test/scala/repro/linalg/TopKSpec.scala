@@ -112,24 +112,4 @@ class TopKSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](
       TopK.bruteForce(Array(0f), Array(1L), Array.empty[Array[Float]], 1))
   }
-
-  test("merge combines lists and dedupes by id") {
-    val a = Array(Hit(1, 1.0), Hit(2, 2.0))
-    val b = Array(Hit(2, 2.0), Hit(3, 0.5))
-    val m = TopK.merge(3, Seq(a, b))
-    assert(m.map(_.id).toSeq == Seq(3L, 1L, 2L))
-  }
-
-  test("merge of disjoint lists equals global top-k") {
-    val r = new Random(9)
-    val all = (0 until 60).map(i => Hit(i, r.nextDouble()))
-    val (l1, l2) = all.splitAt(30)
-    val m = TopK.merge(10, Seq(l1.toArray, l2.toArray))
-    val expect = all.sortBy(h => (h.dist, h.id)).take(10).map(_.id)
-    assert(m.map(_.id).toSeq == expect)
-  }
-
-  test("merge with empty input lists") {
-    assert(TopK.merge(5, Seq(Array.empty[Hit])).isEmpty)
-  }
 }

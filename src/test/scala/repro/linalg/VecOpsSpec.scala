@@ -89,21 +89,6 @@ class VecOpsSpec extends AnyFunSuite {
     assert(math.abs(VecOps.norm(Array(0f, 1f, 0f)) - 1.0) < 1e-12)
   }
 
-  test("cosine similarity of a vector with itself is 1") {
-    val v = randVec(16, 31)
-    assert(math.abs(VecOps.cosine(v, v) - 1.0) < 1e-9)
-  }
-
-  test("cosine of opposite vectors is -1") {
-    val v = randVec(16, 32)
-    val neg = v.map(-_)
-    assert(math.abs(VecOps.cosine(v, neg) + 1.0) < 1e-9)
-  }
-
-  test("cosine involving the zero vector is 0") {
-    assert(VecOps.cosine(new Array[Float](8), randVec(8, 33)) == 0.0)
-  }
-
   test("normalizeInPlace produces unit norm") {
     val v = randVec(20, 41)
     VecOps.normalizeInPlace(v)
@@ -114,13 +99,6 @@ class VecOpsSpec extends AnyFunSuite {
     val z = new Array[Float](5)
     VecOps.normalizeInPlace(z)
     assert(z.forall(_ == 0f))
-  }
-
-  test("cosine via pre-normalized dot equals direct cosine") {
-    val a = randVec(24, 51); val b = randVec(24, 52)
-    val c1 = VecOps.cosine(a, b)
-    VecOps.normalizeInPlace(a); VecOps.normalizeInPlace(b)
-    assert(math.abs(VecOps.dot(a, b) - c1) < 1e-5)
   }
 
   test("nearest returns the argmin centroid") {

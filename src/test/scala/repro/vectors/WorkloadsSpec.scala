@@ -38,14 +38,4 @@ class WorkloadsSpec extends AnyFunSuite {
     assert(levels(1) < levels(0))
     assert(levels(2) < levels(1))
   }
-
-  test("histogram normalizes counts") {
-    val h = Workloads.histogram(Seq(0, 0, 1, 2), 4)
-    assert(h.toSeq == Seq(0.5, 0.25, 0.25, 0.0))
-    assert(math.abs(h.sum - 1.0) < 1e-12)
-  }
-
-  test("histogram of empty input is all zeros") {
-    assert(Workloads.histogram(Seq.empty, 3).forall(_ == 0.0))
-  }
 }
