@@ -21,10 +21,25 @@ final case class ShardLayout(
 ) extends Serializable {
   require(clusterRowStart.length == clusters.length + 1)
   def nRows: Int = rowIds.length
-  def rangeOfCluster(c: Int): Option[(Int, Int)] = {
-    val i = clusters.indexOf(c)
-    if (i < 0) None else Some((clusterRowStart(i), clusterRowStart(i + 1)))
+
+  /** cluster id → its index in `clusters`, or -1: built once per layout */
+  private val slotOfCluster: Array[Int] = {
+    val slots = Array.fill(if (clusters.isEmpty) 0 else clusters.max + 1)(-1)
+    clusters.indices.foreach(i => slots(clusters(i)) = i)
+    slots
   }
+
+  private def slot(c: Int): Int = {
+    val i = if (c >= 0 && c < slotOfCluster.length) slotOfCluster(c) else -1
+    if (i < 0) throw new IllegalStateException(s"cluster $c not in shard $shard")
+    i
+  }
+
+  /** First shard row of cluster `c`; throws if this shard does not own `c`. */
+  def rowStart(c: Int): Int = clusterRowStart(slot(c))
+
+  /** One past the last shard row of cluster `c`; throws like [[rowStart]]. */
+  def rowEnd(c: Int): Int = clusterRowStart(slot(c) + 1)
 }
 
 /** The payload of one grid block (shard × dimension slice): `nRows × sliceLen`

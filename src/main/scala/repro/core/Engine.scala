@@ -101,9 +101,12 @@ object Engine {
     var clientOps = 0L
     var clientBytes = 0L
 
+    // every kernel below reads the queries widened to Double, once per batch
+    val wide = queries.map(VecOps.widen)
+
     // ---- Stage 0 (client): centroid routing + prewarm (Alg 1, PrewarmHeap)
     val probes: Array[Array[Int]] =
-      queries.map(q => VecOps.nearestN(q, index.centroids, cfg.nprobe))
+      wide.map(q => VecOps.nearestN(q, index.centroids, cfg.nprobe))
     clientOps += nQ.toLong * index.nlist * plan.dim
 
     val heaps = Array.fill(nQ)(new BoundedMaxHeap(cfg.k))
@@ -115,7 +118,7 @@ object Engine {
           val vecs = store.sampleVecs(c)
           var j = 0
           while (j < math.min(ids.length, cfg.prewarmPerCluster)) {
-            heaps(qi).offer(ids(j), VecOps.l2(queries(qi), vecs(j)))
+            heaps(qi).offer(ids(j), VecOps.l2PartialAt(wide(qi), 0, vecs(j), 0, plan.dim))
             clientOps += plan.dim
             j += 1
           }
@@ -153,7 +156,7 @@ object Engine {
     val k = cfg.k
     val bcLayouts = store.bcLayouts
 
-    val bcQueries = sc.broadcast(queries)
+    val bcQueries = sc.broadcast(wide)
     try waves.filter(_.nonEmpty).foreach { wave =>
       // slice start offsets (§4.3 load balancing): in dimension order
       // without balanced load, otherwise each batch, largest first, starts
@@ -249,7 +252,7 @@ object Engine {
   private def processStage(
       cands: Iterator[(Int, CandBatch)],
       blocks: Iterator[(Int, BlockData)],
-      bcQueries: Broadcast[Array[Array[Float]]],
+      bcQueries: Broadcast[Array[Array[Double]]],
       bcTau: Broadcast[Array[Double]],
       bcLayouts: Broadcast[Array[ShardLayout]],
       pos: Int,
@@ -259,39 +262,30 @@ object Engine {
   ): Iterator[StageOut] = {
     val node = TaskContext.getPartitionId()
     val blockMap = blocks.toMap
+    def blockOf(bid: Int): BlockData = blockMap.getOrElse(bid,
+      throw new IllegalStateException(s"block $bid not resident on node $node"))
+    val queries = bcQueries.value
+    val layouts = bcLayouts.value
     val ledger = NodeLedger()
     var entering = 0L
     var prunedCount = 0L
     val outs = ArrayBuffer.empty[StageOut]
 
-    cands.foreach { case (bid, b0) =>
-      val block = blockMap.getOrElse(bid,
-        throw new IllegalStateException(s"block $bid not resident on node $node"))
-      val layout = bcLayouts.value(b0.shard)
-      val q = bcQueries.value(b0.qIdx)
+    // at the first position one scan, grouped by cluster, fills every
+    // batch's partials; later positions add their slice per batch below
+    // (survivor rows differ per query there)
+    val batches =
+      if (pos == 0) scanFirstSlice(cands.toArray, blockOf, queries, layouts).iterator
+      else cands
+
+    batches.foreach { case (bid, b) =>
+      val block = blockOf(bid)
+      val layout = layouts(b.shard)
+      val q = queries(b.qIdx)
       val tau = {
-        val t = bcTau.value(b0.qIdx)
+        val t = bcTau.value(b.qIdx)
         if (t == Double.PositiveInfinity) t else t * (1.0 + 1e-9) + 1e-12
       }
-
-      // materialize candidate rows lazily on the first node touched
-      val b =
-        if (b0.pos == 0) {
-          var total = 0
-          b0.clusters.foreach(c => total += {
-            val r = layout.rangeOfCluster(c)
-              .getOrElse(throw new IllegalStateException(s"cluster $c not in shard ${b0.shard}"))
-            r._2 - r._1
-          })
-          val rows = new Array[Int](total)
-          var w = 0
-          b0.clusters.foreach { c =>
-            val (lo, hi) = layout.rangeOfCluster(c).get
-            var r = lo
-            while (r < hi) { rows(w) = r; w += 1; r += 1 }
-          }
-          b0.copy(rows = rows, partial = new Array[Double](total))
-        } else b0
 
       // comm in: first hop carries the query chunk + cluster id list;
       // later hops carry the partial state + the query chunk.
@@ -314,7 +308,9 @@ object Engine {
       var i = 0
       while (i < nRows) {
         val r = rows(i)
-        val d = parts(i) + VecOps.l2PartialAt(q, sliceLo, block.data, r * sliceLen, sliceLen)
+        val d =
+          if (pos == 0) parts(i)
+          else parts(i) + VecOps.l2PartialAt(q, sliceLo, block.data, r * sliceLen, sliceLen)
         if (pruning && d > tau) {
           prunedCount += 1
         } else {
@@ -353,5 +349,70 @@ object Engine {
 
     outs += LedgerOut(pos, node, ledger, entering, prunedCount)
     outs.iterator
+  }
+
+  /** A wave's first position on one node: each of `batches`, copied with
+    * its candidate rows (its clusters' shard-row ranges, in cluster order)
+    * and this slice's distances in `partial`. The batches are grouped by
+    * (block, cluster), so each cluster range is read once for every query
+    * that probes it, four queries at a time; the 1–3 left over go through
+    * the one-query kernel. Each row's distance is summed from 0.0 in
+    * dimension order whichever kernel computes it, and `0.0 + s == s` for
+    * `s >= 0`, so it is written straight into `partial`.
+    */
+  private def scanFirstSlice(
+      batches: Array[(Int, CandBatch)],
+      blockOf: Int => BlockData,
+      queries: Array[Array[Double]],
+      layouts: Array[ShardLayout],
+  ): Array[(Int, CandBatch)] = {
+    // a batch probing a cluster: the cluster's rows sit at `off` in `partial`
+    final case class Member(q: Array[Double], partial: Array[Double], off: Int)
+    final class Group(val bid: Int, val lo: Int, val hi: Int) {
+      val members = ArrayBuffer.empty[Member]
+    }
+    // (block, cluster) → the batches probing it
+    val groups = scala.collection.mutable.HashMap.empty[Long, Group]
+
+    val materialized = batches.map { case (bid, b) =>
+      val layout = layouts(b.shard)
+      var total = 0
+      b.clusters.foreach(c => total += layout.rowEnd(c) - layout.rowStart(c))
+      val rows = new Array[Int](total)
+      val partial = new Array[Double](total)
+      var w = 0
+      b.clusters.foreach { c =>
+        val lo = layout.rowStart(c)
+        val hi = layout.rowEnd(c)
+        val g = groups.getOrElseUpdate((bid.toLong << 32) | c, new Group(bid, lo, hi))
+        g.members += Member(queries(b.qIdx), partial, w)
+        var r = lo
+        while (r < hi) { rows(w) = r; w += 1; r += 1 }
+      }
+      (bid, b.copy(rows = rows, partial = partial))
+    }
+
+    groups.valuesIterator.foreach { g =>
+      val block = blockOf(g.bid)
+      val len = block.sliceLen
+      val ms = g.members
+      var m = 0
+      while (m + 4 <= ms.length) {
+        val four = ms.slice(m, m + 4)
+        VecOps.l2PartialRows4(four.map(_.q).toArray, block.sliceLo, block.data, len,
+          g.lo, g.hi, four.map(_.partial).toArray, four.map(_.off).toArray)
+        m += 4
+      }
+      while (m < ms.length) {
+        val b = ms(m)
+        var r = g.lo
+        while (r < g.hi) {
+          b.partial(b.off + r - g.lo) = VecOps.l2PartialAt(b.q, block.sliceLo, block.data, r * len, len)
+          r += 1
+        }
+        m += 1
+      }
+    }
+    materialized
   }
 }

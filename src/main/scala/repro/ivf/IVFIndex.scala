@@ -89,16 +89,16 @@ object IVFIndex {
 
     val sc = spark.sparkContext
     val bc = sc.broadcast(km.centroids)
-    val assigned: Array[(Long, Int)] = sc
-      .parallelize(ds.ids.zip(ds.data).toSeq, math.min(64, math.max(1, ds.n / 2000)))
-      .map { case (id, v) => (id, VecOps.nearest(v, bc.value)) }
+    // cluster of each row, by row position (collect keeps the input order),
+    // so ids need not be 0..n-1
+    val clusterOf: Array[Int] = sc
+      .parallelize(ds.data.toSeq, math.min(64, math.max(1, ds.n / 2000)))
+      .map(v => VecOps.nearest(v, bc.value))
       .collect()
     bc.destroy()
     val t2 = System.nanoTime()
 
     val k = km.centroids.length
-    val clusterOf = new Array[Int](ds.n)
-    assigned.foreach { case (id, c) => clusterOf(id.toInt) = c }
     val counts = new Array[Int](k)
     clusterOf.foreach(c => counts(c) += 1)
     val ids = Array.tabulate(k)(c => new Array[Long](counts(c)))

@@ -27,6 +27,76 @@ object VecOps {
     s
   }
 
+  /** [[l2PartialAt]] with `a` already widened to `Double` (see [[widen]]):
+    * the same terms summed in the same order, so bit-identical to the
+    * `Float` form, without converting `a` on every dimension. */
+  def l2PartialAt(a: Array[Double], aOff: Int, b: Array[Float], bOff: Int, len: Int): Double = {
+    var s = 0.0
+    var i = 0
+    while (i < len) {
+      val d = a(aOff + i) - b(bOff + i).toDouble
+      s += d * d
+      i += 1
+    }
+    s
+  }
+
+  /** Squared L2 partials of rows `[rowLo, rowHi)` of the row-major,
+    * `len`-wide `block` against four widened queries at once, each read from
+    * offset `qOff`. Row `r`'s partial against `qs(j)` is written to
+    * `outs(j)(outOffs(j) + r - rowLo)`. Each query keeps its own accumulator,
+    * summed in dimension order from `0.0`, so every written value is
+    * bit-identical to `l2PartialAt(qs(j), qOff, block, r * len, len)`; each
+    * block value is read once for all four queries.
+    */
+  def l2PartialRows4(
+      qs: Array[Array[Double]], qOff: Int,
+      block: Array[Float], len: Int, rowLo: Int, rowHi: Int,
+      outs: Array[Array[Double]], outOffs: Array[Int],
+  ): Unit = {
+    val q0 = qs(0); val q1 = qs(1); val q2 = qs(2); val q3 = qs(3)
+    val o0 = outs(0); val o1 = outs(1); val o2 = outs(2); val o3 = outs(3)
+    // output index of row r for query j is fj + r
+    val f0 = outOffs(0) - rowLo; val f1 = outOffs(1) - rowLo
+    val f2 = outOffs(2) - rowLo; val f3 = outOffs(3) - rowLo
+    var r = rowLo
+    while (r < rowHi) {
+      val base = r * len
+      var s0 = 0.0
+      var s1 = 0.0
+      var s2 = 0.0
+      var s3 = 0.0
+      var i = 0
+      while (i < len) {
+        val x = block(base + i).toDouble
+        val j = qOff + i
+        val d0 = q0(j) - x
+        val d1 = q1(j) - x
+        val d2 = q2(j) - x
+        val d3 = q3(j) - x
+        s0 += d0 * d0
+        s1 += d1 * d1
+        s2 += d2 * d2
+        s3 += d3 * d3
+        i += 1
+      }
+      o0(f0 + r) = s0
+      o1(f1 + r) = s1
+      o2(f2 + r) = s2
+      o3(f3 + r) = s3
+      r += 1
+    }
+  }
+
+  /** `a` converted to `Double`. The conversion is exact, so the widened
+    * kernels return the same bits as their `Float` forms. */
+  def widen(a: Array[Float]): Array[Double] = {
+    val w = new Array[Double](a.length)
+    var i = 0
+    while (i < a.length) { w(i) = a(i).toDouble; i += 1 }
+    w
+  }
+
   /** Squared L2 distance over full vectors of equal length. */
   def l2(a: Array[Float], b: Array[Float]): Double = {
     require(a.length == b.length, s"dim mismatch: ${a.length} vs ${b.length}")
@@ -85,16 +155,23 @@ object VecOps {
     * Partial selection: the best `n` so far are kept sorted in primitive
     * arrays and each centroid is insertion-placed only if it beats the
     * current worst. Centroids arrive in index order, so an equal distance
-    * never moves ahead of an earlier index.
+    * never moves ahead of an earlier index. `q` is widened once, and every
+    * distance comes from the widened kernel.
     */
-  def nearestN(q: Array[Float], centroids: Array[Array[Float]], n: Int): Array[Int] = {
+  def nearestN(q: Array[Float], centroids: Array[Array[Float]], n: Int): Array[Int] =
+    nearestN(widen(q), centroids, n)
+
+  /** [[nearestN]] for a query already widened to `Double`. */
+  def nearestN(q: Array[Double], centroids: Array[Array[Float]], n: Int): Array[Int] = {
     val m = math.max(0, math.min(n, centroids.length))
     val bestD = new Array[Double](m)
     val bestC = new Array[Int](m)
     var size = 0
     var c = 0
     while (c < centroids.length) {
-      val d = l2(q, centroids(c))
+      val cent = centroids(c)
+      require(cent.length == q.length, s"dim mismatch: ${q.length} vs ${cent.length}")
+      val d = l2PartialAt(q, 0, cent, 0, q.length)
       if (size < m || (m > 0 && java.lang.Double.compare(d, bestD(m - 1)) < 0)) {
         var i = if (size < m) size else m - 1
         while (i > 0 && java.lang.Double.compare(d, bestD(i - 1)) < 0) {

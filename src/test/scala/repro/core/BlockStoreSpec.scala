@@ -38,7 +38,7 @@ class BlockStoreSpec extends SparkSpec {
     try {
       st.layouts.foreach { l =>
         l.clusters.zipWithIndex.foreach { case (c, i) =>
-          val (lo, hi) = l.rangeOfCluster(c).get
+          val (lo, hi) = (l.rowStart(c), l.rowEnd(c))
           assert(hi - lo == idx.listSize(c))
           assert(l.rowIds.slice(lo, hi).toSeq == idx.listIds(c).toSeq)
           assert(lo == l.clusterRowStart(i))
@@ -47,12 +47,16 @@ class BlockStoreSpec extends SparkSpec {
     } finally st.unpersist()
   }
 
-  test("rangeOfCluster is None for clusters of other shards") {
+  test("row range lookup rejects clusters of other shards") {
     val st = store(4, 1)
     try {
       val l0 = st.layouts(0)
       val foreign = (0 until idx.nlist).find(c => st.plan.shardOfCluster(c) != 0).get
-      assert(l0.rangeOfCluster(foreign).isEmpty)
+      Seq(foreign, -1, idx.nlist).foreach { c =>
+        val e1 = intercept[IllegalStateException](l0.rowStart(c))
+        val e2 = intercept[IllegalStateException](l0.rowEnd(c))
+        assert(e1.getMessage == s"cluster $c not in shard 0" && e2.getMessage == e1.getMessage)
+      }
     } finally st.unpersist()
   }
 

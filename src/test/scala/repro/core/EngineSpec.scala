@@ -79,6 +79,36 @@ class EngineSpec extends SparkSpec {
     finally sys.shutdown()
   }
 
+  // ---- grouped first-position scan ------------------------------------
+
+  for (pruning <- Seq(true, false)) {
+    test(s"4x1 grid returns the IVFIndex.search hits bit for bit (pruning=$pruning)") {
+      // with bDim = 1 a row's distance is one full-dimension sum, in the same
+      // order as IVFIndex.search. Six close variants of each of three queries
+      // probe the same clusters in the same order (so in the same waves):
+      // each probed cluster is scanned for at least six queries, four by the
+      // 4-query kernel and the rest by the remainder path unless exactly two
+      // of the three families meet there
+      val rnd = new java.util.Random(41)
+      val queries = F.small.queries.take(3).flatMap(q =>
+        Array.fill(6)(q.map(x => x + 1e-4f * rnd.nextGaussian().toFloat)))
+      val (idx, store) = F.smallStore(spark, 4, 1)
+      try {
+        queries.grouped(6).foreach { vs =>
+          val probes = vs.map(q => repro.linalg.VecOps.nearestN(q, idx.centroids, nprobe).toSeq)
+          assert(probes.distinct.length == 1, probes.mkString("; "))
+        }
+        val cfg = HarmonyConfig(nNodes = 4, k = k, nprobe = nprobe, pruning = pruning)
+        val got = Engine.search(spark, store, idx, queries, cfg).hits
+        def bits(hs: Array[Hit]) =
+          hs.toSeq.map(h => (h.id, java.lang.Double.doubleToRawLongBits(h.dist)))
+        queries.indices.foreach { qi =>
+          assert(bits(got(qi)) == bits(idx.search(queries(qi), k, nprobe)._1), s"query $qi")
+        }
+      } finally store.unpersist()
+    }
+  }
+
   // ---- pruning ledger -----------------------------------------------
 
   // without balanced load every batch visits the slices in dimension order

@@ -105,6 +105,21 @@ class IVFIndexSpec extends SparkSpec {
     (0 until idx.nlist).foreach(c => assert(idx2.listSize(c) == idx.listSize(c)))
   }
 
+  test("build does not assume ids 0..n-1: shuffled, offset ids give the same index remapped") {
+    assert(ds.ids.toSeq == (0L until ds.n), "reference dataset has ids 0..n-1")
+    val perm = new scala.util.Random(5).shuffle((0 until ds.n).toVector)
+    val newId = Array.tabulate(ds.n)(i => 1000L + 7L * perm(i))
+    val (idx2, _) = IVFIndex.build(spark, ds.copy(ids = newId), F.testNlist, seed = F.smallCfg.seed)
+    (0 until idx.nlist).foreach { c =>
+      assert(idx2.listIds(c).toSeq == idx.listIds(c).map(id => newId(id.toInt)).toSeq, s"cluster $c")
+      assert(idx2.listData(c).sameElements(idx.listData(c)), s"cluster $c")
+    }
+    ds.queries.take(6).foreach { q =>
+      val want = idx.search(q, 10, 4)._1.map(h => (newId(h.id.toInt), h.dist)).toSeq
+      assert(idx2.search(q, 10, 4)._1.map(h => (h.id, h.dist)).toSeq == want)
+    }
+  }
+
   test("alignment validation rejects malformed construction") {
     intercept[IllegalArgumentException] {
       new IVFIndex(4, Array(Array(0f, 0f, 0f, 0f)), Array.empty, Array.empty)

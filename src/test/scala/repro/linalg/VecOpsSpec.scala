@@ -75,6 +75,42 @@ class VecOpsSpec extends AnyFunSuite {
     assert(VecOps.l2PartialAt(a, 8, stored, 0, sliceLen) == VecOps.l2Slice(a, b, 8, 24))
   }
 
+  private def bits(d: Double): Long = java.lang.Double.doubleToRawLongBits(d)
+
+  test("the widened kernel equals l2PartialAt bit for bit") {
+    val r = new Random(31)
+    for (trial <- 0 until 400) {
+      val len = r.nextInt(301)
+      val aOff = r.nextInt(20); val bOff = r.nextInt(20)
+      val a = randVec(aOff + len + r.nextInt(5), r.nextLong())
+      val b = randVec(bOff + len + r.nextInt(5), r.nextLong())
+      assert(bits(VecOps.l2PartialAt(VecOps.widen(a), aOff, b, bOff, len)) ==
+        bits(VecOps.l2PartialAt(a, aOff, b, bOff, len)), s"trial $trial: len=$len")
+    }
+  }
+
+  test("the 4-query row kernel equals l2PartialAt bit for bit") {
+    val r = new Random(32)
+    for (trial <- 0 until 200) {
+      val len = r.nextInt(301)
+      val qOff = r.nextInt(20)
+      val nRows = 1 + r.nextInt(6)
+      val rowLo = r.nextInt(nRows); val rowHi = rowLo + r.nextInt(nRows - rowLo + 1)
+      val qs = Array.fill(4)(randVec(qOff + len + r.nextInt(5), r.nextLong()))
+      val block = randVec(nRows * len, r.nextLong())
+      val offs = Array.fill(4)(r.nextInt(10))
+      val outs = Array.tabulate(4)(j => Array.fill(offs(j) + nRows + 3)(-1.0))
+      VecOps.l2PartialRows4(qs.map(VecOps.widen), qOff, block, len, rowLo, rowHi, outs, offs)
+      for (j <- 0 until 4; i <- outs(j).indices) {
+        val row = rowLo + i - offs(j)
+        if (row >= rowLo && row < rowHi) {
+          assert(bits(outs(j)(i)) == bits(VecOps.l2PartialAt(qs(j), qOff, block, row * len, len)),
+            s"trial $trial: query $j row $row len=$len")
+        } else assert(outs(j)(i) == -1.0, s"trial $trial: query $j wrote outside its rows at $i")
+      }
+    }
+  }
+
   test("dot of orthogonal unit vectors is zero") {
     assert(VecOps.dot(Array(1f, 0f), Array(0f, 1f)) == 0.0)
   }
@@ -145,8 +181,9 @@ class VecOpsSpec extends AnyFunSuite {
       val cents = Array.fill(1 + r.nextInt(60))(randVec(dim, r.nextLong()))
       val q = randVec(dim, r.nextLong())
       val n = r.nextInt(cents.length + 5) - 1
-      assert(VecOps.nearestN(q, cents, n).toSeq == nearestNBySort(q, cents, n).toSeq,
-        s"trial $trial: n=$n nlist=${cents.length}")
+      val want = nearestNBySort(q, cents, n).toSeq
+      assert(VecOps.nearestN(q, cents, n).toSeq == want, s"trial $trial: n=$n nlist=${cents.length}")
+      assert(VecOps.nearestN(VecOps.widen(q), cents, n).toSeq == want, s"trial $trial: widened")
     }
   }
 
@@ -159,8 +196,9 @@ class VecOpsSpec extends AnyFunSuite {
       val cents = Array.fill(1 + r.nextInt(40))(base(r.nextInt(base.length)).clone())
       val q = Array.fill(dim)((r.nextInt(5) - 2).toFloat)
       val n = 1 + r.nextInt(cents.length + 2)
-      assert(VecOps.nearestN(q, cents, n).toSeq == nearestNBySort(q, cents, n).toSeq,
-        s"trial $trial: n=$n nlist=${cents.length}")
+      val want = nearestNBySort(q, cents, n).toSeq
+      assert(VecOps.nearestN(q, cents, n).toSeq == want, s"trial $trial: n=$n nlist=${cents.length}")
+      assert(VecOps.nearestN(VecOps.widen(q), cents, n).toSeq == want, s"trial $trial: widened")
     }
   }
 
