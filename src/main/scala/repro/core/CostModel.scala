@@ -194,8 +194,9 @@ object CostModel {
     val params = cfg.costParams
     val surv = if (cfg.pruning) survival else SurvivalStats.none(dim)
     val nlist = listSizes.length
-    // expected probes of cluster c over the batch
-    val probes = popularity.map(_ * nQ * cfg.nprobe)
+    // expected probes of cluster c over the batch; a query probes at most
+    // every cluster once (`VecOps.nearestN` caps its list at nlist)
+    val probes = popularity.map(_ * nQ * math.min(cfg.nprobe, nlist))
     // expected candidate rows contributed by cluster c over the batch
     val rowsByCluster = Array.tabulate(nlist)(c => probes(c) * listSizes(c))
 

@@ -31,8 +31,9 @@ final case class CandBatch(
 sealed trait StageOut extends Serializable
 final case class SurvivorOut(batch: CandBatch) extends StageOut
 final case class CompletedOut(qIdx: Int, hits: Array[Hit]) extends StageOut
-final case class LedgerOut(pos: Int, node: Int, ledger: NodeLedger, entering: Long, pruned: Long)
-  extends StageOut
+final case class LedgerOut(
+    pos: Int, node: Int, ledger: NodeLedger, entering: Long, pruned: Long, executed: Long,
+) extends StageOut
 
 /** Result of one search batch. */
 final case class EngineResult(
@@ -42,6 +43,12 @@ final case class EngineResult(
     pruneEntering: Array[Long],
     /** candidates pruned while processing position p */
     prunePruned: Array[Long],
+    /** dim-ops the kernels actually executed at position p (summed over
+      * nodes and waves). The ledgers count every row of a slice in full,
+      * the paper's model; a row abandoned early inside a slice executes
+      * fewer, so this never exceeds the counted dim-ops of p and equals them
+      * with pruning off. Not priced. */
+    executedDimOps: Array[Long],
     perNodePeakStateBytes: Array[Long],
 ) {
   /** Fraction of candidates whose distance computation at position p was
@@ -152,6 +159,7 @@ object Engine {
     val stages = ArrayBuffer.empty[StageRecord]
     val enteringByPos = new Array[Long](bDim)
     val prunedByPos = new Array[Long](bDim)
+    val executedByPos = new Array[Long](bDim)
     val pruning = cfg.pruning
     val k = cfg.k
     val bcLayouts = store.bcLayouts
@@ -187,8 +195,8 @@ object Engine {
       }
 
       // heaps (hence τ) change only at the wave's final merge, so every
-      // position reads the same τ and the whole wave is one Spark job
-      val bcTau = sc.broadcast(heaps.map(_.threshold))
+      // position reads the same bounds and the whole wave is one Spark job
+      val bcBounds = sc.broadcast(heaps.map(h => pruneBound(h.threshold, pruning)))
       val meta = try {
         var in: RDD[(Int, StageOut)] = sc.parallelize(byNode.toSeq, nNodes).flatMap(_.iterator)
         var out: RDD[StageOut] = null
@@ -202,7 +210,7 @@ object Engine {
               case (bid, SurvivorOut(b)) => Iterator.single((bid, b))
               case (_, l) => forwarded += l; Iterator.empty
             }
-            processStage(cands, blocks, bcQueries, bcTau, bcLayouts, stagePos, bDim, k, pruning) ++
+            processStage(cands, blocks, bcQueries, bcBounds, bcLayouts, stagePos, bDim, k) ++
               forwarded
           }
           if (pos < bDim - 1) {
@@ -217,14 +225,15 @@ object Engine {
           pos += 1
         }
         out.collect()
-      } finally bcTau.destroy()
+      } finally bcBounds.destroy()
 
       val perNode = Array.fill(bDim, nNodes)(NodeLedger())
       meta.foreach {
-        case LedgerOut(p, node, ledger, entering, pruned) =>
+        case LedgerOut(p, node, ledger, entering, pruned, executed) =>
           perNode(p)(node).add(ledger)
           enteringByPos(p) += entering
           prunedByPos(p) += pruned
+          executedByPos(p) += executed
         case CompletedOut(qIdx, hits) =>
           heaps(qIdx).offerAll(hits)
           clientBytes += hits.length.toLong * 12L
@@ -241,51 +250,63 @@ object Engine {
       if (st.perNode(n).bytesIn > peaks(n)) peaks(n) = st.perNode(n).bytesIn
     })
 
-    EngineResult(heaps.map(_.toSortedArray), report, enteringByPos, prunedByPos, peaks)
+    EngineResult(heaps.map(_.toSortedArray), report, enteringByPos, prunedByPos, executedByPos,
+      peaks)
   }
+
+  /** The bound above which a partial distance is pruned, and at which the
+    * kernels abandon a row early (the same value, so both decide alike):
+    * τ² with a slack that absorbs last-bit differences between slice
+    * orders, or `+inf` when pruning is off or the heap is not yet full. */
+  private def pruneBound(tauSq: Double, pruning: Boolean): Double =
+    if (!pruning || tauSq == Double.PositiveInfinity) Double.PositiveInfinity
+    else tauSq * (1.0 + 1e-9) + 1e-12
 
   /** One pipeline stage on one simulated node (Alg 1, DimensionPipeline
     * body): materialize rows on first touch, accumulate the local slice's
-    * partial distances, prune rows whose partial already exceeds τ², and
-    * either forward the surviving state or emit final top-k hits.
+    * partial distances, prune rows whose partial already exceeds the
+    * query's [[pruneBound]], and either forward the surviving state or emit
+    * final top-k hits. Each batch's `rows` and `partial` are consumed:
+    * survivors are compacted in place before they are copied out.
     */
   private def processStage(
       cands: Iterator[(Int, CandBatch)],
       blocks: Iterator[(Int, BlockData)],
       bcQueries: Broadcast[Array[Array[Double]]],
-      bcTau: Broadcast[Array[Double]],
+      bcBounds: Broadcast[Array[Double]],
       bcLayouts: Broadcast[Array[ShardLayout]],
       pos: Int,
       bDim: Int,
       k: Int,
-      pruning: Boolean,
   ): Iterator[StageOut] = {
     val node = TaskContext.getPartitionId()
     val blockMap = blocks.toMap
     def blockOf(bid: Int): BlockData = blockMap.getOrElse(bid,
       throw new IllegalStateException(s"block $bid not resident on node $node"))
     val queries = bcQueries.value
+    val bounds = bcBounds.value
     val layouts = bcLayouts.value
     val ledger = NodeLedger()
     var entering = 0L
     var prunedCount = 0L
+    var executed = 0L
     val outs = ArrayBuffer.empty[StageOut]
 
     // at the first position one scan, grouped by cluster, fills every
     // batch's partials; later positions add their slice per batch below
     // (survivor rows differ per query there)
     val batches =
-      if (pos == 0) scanFirstSlice(cands.toArray, blockOf, queries, layouts).iterator
-      else cands
+      if (pos == 0) {
+        val (scanned, ops) = scanFirstSlice(cands.toArray, blockOf, queries, bounds, layouts)
+        executed += ops
+        scanned.iterator
+      } else cands
 
     batches.foreach { case (bid, b) =>
       val block = blockOf(bid)
       val layout = layouts(b.shard)
       val q = queries(b.qIdx)
-      val tau = {
-        val t = bcTau.value(b.qIdx)
-        if (t == Double.PositiveInfinity) t else t * (1.0 + 1e-9) + 1e-12
-      }
+      val bound = bounds(b.qIdx)
 
       // comm in: first hop carries the query chunk + cluster id list;
       // later hops carry the partial state + the query chunk.
@@ -302,35 +323,38 @@ object Engine {
       val rows = b.rows
       val parts = b.partial
       val nRows = rows.length
-      val keptRows = new Array[Int](nRows)
-      val keptParts = new Array[Double](nRows)
+      val last = b.pos == bDim - 1
+      // final slice: full distances go straight into this batch's local
+      // top-k; earlier slices compact their survivors to the front
+      var heap: BoundedMaxHeap = null
       var kept = 0
       var i = 0
       while (i < nRows) {
         val r = rows(i)
-        val d =
-          if (pos == 0) parts(i)
-          else parts(i) + VecOps.l2PartialAt(q, sliceLo, block.data, r * sliceLen, sliceLen)
-        if (pruning && d > tau) {
+        // the first position's partials are already complete for this slice
+        if (pos > 0) {
+          executed += VecOps.l2PartialBounded(q, sliceLo, block.data, r * sliceLen, sliceLen,
+            parts(i), bound, parts, i)
+        }
+        val d = parts(i)
+        if (d > bound) {
           prunedCount += 1
         } else {
-          keptRows(kept) = r
-          keptParts(kept) = d
+          if (last) {
+            if (heap == null) heap = new BoundedMaxHeap(k)
+            heap.offer(layout.rowIds(r), d)
+          } else {
+            rows(kept) = r
+            parts(kept) = d
+          }
           kept += 1
         }
         i += 1
       }
       ledger.dimOps += nRows.toLong * sliceLen
 
-      if (b.pos == bDim - 1) {
-        // final slice: full distances — emit this batch's local top-k
-        if (kept > 0) {
-          val heap = new BoundedMaxHeap(k)
-          var j = 0
-          while (j < kept) {
-            heap.offer(layout.rowIds(keptRows(j)), keptParts(j))
-            j += 1
-          }
+      if (last) {
+        if (heap != null) {
           val hits = heap.toSortedArray
           ledger.bytesOut += hits.length.toLong * 12L
           ledger.msgsOut += 1
@@ -339,35 +363,39 @@ object Engine {
       } else if (kept > 0) {
         val survivor = b.copy(
           pos = b.pos + 1,
-          rows = java.util.Arrays.copyOf(keptRows, kept),
-          partial = java.util.Arrays.copyOf(keptParts, kept))
+          rows = java.util.Arrays.copyOf(rows, kept),
+          partial = java.util.Arrays.copyOf(parts, kept))
         ledger.bytesOut += kept.toLong * 12L
         ledger.msgsOut += 1
         outs += SurvivorOut(survivor)
       }
     }
 
-    outs += LedgerOut(pos, node, ledger, entering, prunedCount)
+    outs += LedgerOut(pos, node, ledger, entering, prunedCount, executed)
     outs.iterator
   }
 
   /** A wave's first position on one node: each of `batches`, copied with
     * its candidate rows (its clusters' shard-row ranges, in cluster order)
-    * and this slice's distances in `partial`. The batches are grouped by
-    * (block, cluster), so each cluster range is read once for every query
-    * that probes it, four queries at a time; the 1–3 left over go through
-    * the one-query kernel. Each row's distance is summed from 0.0 in
-    * dimension order whichever kernel computes it, and `0.0 + s == s` for
-    * `s >= 0`, so it is written straight into `partial`.
+    * and this slice's distances in `partial`, and the dim-ops the kernels
+    * executed. The batches are grouped by (block, cluster), so each cluster
+    * range is read once for every query that probes it, four queries at a
+    * time; the 1–3 left over go through the one-query kernel. Each row's
+    * distance is summed from 0.0 in dimension order whichever kernel
+    * computes it, and `0.0 + s == s` for `s >= 0`, so it is written straight
+    * into `partial`. Both kernels may abandon a row once it exceeds its
+    * query's bound; the value written then exceeds the bound too, so the
+    * prune test in [[processStage]] drops it as it would the full sum.
     */
   private def scanFirstSlice(
       batches: Array[(Int, CandBatch)],
       blockOf: Int => BlockData,
       queries: Array[Array[Double]],
+      bounds: Array[Double],
       layouts: Array[ShardLayout],
-  ): Array[(Int, CandBatch)] = {
+  ): (Array[(Int, CandBatch)], Long) = {
     // a batch probing a cluster: the cluster's rows sit at `off` in `partial`
-    final case class Member(q: Array[Double], partial: Array[Double], off: Int)
+    final case class Member(qIdx: Int, partial: Array[Double], off: Int)
     final class Group(val bid: Int, val lo: Int, val hi: Int) {
       val members = ArrayBuffer.empty[Member]
     }
@@ -385,34 +413,51 @@ object Engine {
         val lo = layout.rowStart(c)
         val hi = layout.rowEnd(c)
         val g = groups.getOrElseUpdate((bid.toLong << 32) | c, new Group(bid, lo, hi))
-        g.members += Member(queries(b.qIdx), partial, w)
+        g.members += Member(b.qIdx, partial, w)
         var r = lo
         while (r < hi) { rows(w) = r; w += 1; r += 1 }
       }
       (bid, b.copy(rows = rows, partial = partial))
     }
 
+    // the 4-query kernel's arguments, refilled for every group of four
+    val qs4 = new Array[Array[Double]](4)
+    val bounds4 = new Array[Double](4)
+    val outs4 = new Array[Array[Double]](4)
+    val offs4 = new Array[Int](4)
+    var executed = 0L
     groups.valuesIterator.foreach { g =>
       val block = blockOf(g.bid)
       val len = block.sliceLen
       val ms = g.members
       var m = 0
       while (m + 4 <= ms.length) {
-        val four = ms.slice(m, m + 4)
-        VecOps.l2PartialRows4(four.map(_.q).toArray, block.sliceLo, block.data, len,
-          g.lo, g.hi, four.map(_.partial).toArray, four.map(_.off).toArray)
+        var j = 0
+        while (j < 4) {
+          val b = ms(m + j)
+          qs4(j) = queries(b.qIdx)
+          bounds4(j) = bounds(b.qIdx)
+          outs4(j) = b.partial
+          offs4(j) = b.off
+          j += 1
+        }
+        executed += VecOps.l2PartialRows4(qs4, block.sliceLo, block.data, len,
+          g.lo, g.hi, bounds4, outs4, offs4)
         m += 4
       }
       while (m < ms.length) {
         val b = ms(m)
+        val q = queries(b.qIdx)
+        val bound = bounds(b.qIdx)
         var r = g.lo
         while (r < g.hi) {
-          b.partial(b.off + r - g.lo) = VecOps.l2PartialAt(b.q, block.sliceLo, block.data, r * len, len)
+          executed += VecOps.l2PartialBounded(q, block.sliceLo, block.data, r * len, len,
+            0.0, bound, b.partial, b.off + r - g.lo)
           r += 1
         }
         m += 1
       }
     }
-    materialized
+    (materialized, executed)
   }
 }

@@ -2,12 +2,18 @@ package repro.linalg
 
 /** Dense float-vector distance kernels.
   *
-  * All kernels accumulate in `Double` so that slicing a distance computation
-  * into dimension blocks (Harmony's dimension-based partition) yields the
-  * same total as a single full-dimension pass, independent of slice order —
-  * the lossless-pruning invariant in DESIGN.md depends on this.
+  * All kernels accumulate in `Double`, in dimension order. A distance split
+  * into dimension slices (Harmony's dimension-based partition) and summed
+  * slice by slice is therefore equal to a single full-dimension pass up to
+  * rounding in the last bits, and the result depends on the order the slices
+  * are added in; the engine's pruning threshold carries a slack that absorbs
+  * that difference (DESIGN.md, "Pruning is lossless").
   */
 object VecOps {
+
+  /** Dimensions summed between two tests of a bounded kernel against its
+    * bound (8, 16 and 32 were measured; see CHANGES.md). */
+  private final val AbandonCheck = 32
 
   /** Squared L2 distance over the dimension slice `[lo, hi)`.
     *
@@ -41,24 +47,77 @@ object VecOps {
     s
   }
 
+  /** `base +` [[l2PartialAt]]`(a, aOff, b, bOff, len)`, abandoned early once
+    * it is certain to exceed `bound`, written to `out(outIdx)`. Returns the
+    * number of dimensions actually summed.
+    *
+    * The sum runs in dimension order from `0.0`. After every
+    * [[AbandonCheck]] dimensions the kernel tests `base + s > bound` and, if
+    * it holds, stops and writes `base + s`. Each
+    * term is `>= 0`, and rounded addition of non-negative terms never
+    * decreases a sum, so the full value would also exceed `bound`:
+    * `out(outIdx) > bound` holds exactly when `base + l2PartialAt(...) > bound`,
+    * and a value not above `bound` is that full value, bit for bit. With
+    * `bound = +inf` nothing is abandoned.
+    */
+  def l2PartialBounded(
+      a: Array[Double], aOff: Int, b: Array[Float], bOff: Int, len: Int,
+      base: Double, bound: Double, out: Array[Double], outIdx: Int,
+  ): Int = {
+    val checked = len - len % AbandonCheck
+    var s = 0.0
+    var i = 0
+    while (i < checked) {
+      // a fixed trip count measured faster than a `min(i + AbandonCheck, len)` limit
+      var t = 0
+      while (t < AbandonCheck) {
+        val d = a(aOff + i + t) - b(bOff + i + t).toDouble
+        s += d * d
+        t += 1
+      }
+      i += AbandonCheck
+      if (base + s > bound) {
+        out(outIdx) = base + s
+        return i
+      }
+    }
+    while (i < len) {
+      val d = a(aOff + i) - b(bOff + i).toDouble
+      s += d * d
+      i += 1
+    }
+    out(outIdx) = base + s
+    len
+  }
+
   /** Squared L2 partials of rows `[rowLo, rowHi)` of the row-major,
     * `len`-wide `block` against four widened queries at once, each read from
     * offset `qOff`. Row `r`'s partial against `qs(j)` is written to
     * `outs(j)(outOffs(j) + r - rowLo)`. Each query keeps its own accumulator,
-    * summed in dimension order from `0.0`, so every written value is
-    * bit-identical to `l2PartialAt(qs(j), qOff, block, r * len, len)`; each
-    * block value is read once for all four queries.
+    * summed in dimension order from `0.0`; each block value is read once for
+    * all four queries. Returns the number of (query, dimension) terms
+    * actually summed.
+    *
+    * A row is abandoned, as in [[l2PartialBounded]] with `base = 0`, once
+    * all four partials exceed their `bounds(j)`; its written values are then
+    * the running sums, each above its bound. Every other row runs to the end,
+    * so a written value not above its bound is bit-identical to
+    * `l2PartialAt(qs(j), qOff, block, r * len, len)`.
     */
   def l2PartialRows4(
       qs: Array[Array[Double]], qOff: Int,
       block: Array[Float], len: Int, rowLo: Int, rowHi: Int,
+      bounds: Array[Double],
       outs: Array[Array[Double]], outOffs: Array[Int],
-  ): Unit = {
+  ): Long = {
     val q0 = qs(0); val q1 = qs(1); val q2 = qs(2); val q3 = qs(3)
+    val b0 = bounds(0); val b1 = bounds(1); val b2 = bounds(2); val b3 = bounds(3)
     val o0 = outs(0); val o1 = outs(1); val o2 = outs(2); val o3 = outs(3)
     // output index of row r for query j is fj + r
     val f0 = outOffs(0) - rowLo; val f1 = outOffs(1) - rowLo
     val f2 = outOffs(2) - rowLo; val f3 = outOffs(3) - rowLo
+    val checked = len - len % AbandonCheck
+    var executed = 0L
     var r = rowLo
     while (r < rowHi) {
       val base = r * len
@@ -67,7 +126,28 @@ object VecOps {
       var s2 = 0.0
       var s3 = 0.0
       var i = 0
-      while (i < len) {
+      // both limits drop to i once all four partials pass their bounds
+      var lim = checked
+      var end = len
+      while (i < lim) {
+        var t = 0
+        while (t < AbandonCheck) {
+          val x = block(base + i + t).toDouble
+          val j = qOff + i + t
+          val d0 = q0(j) - x
+          val d1 = q1(j) - x
+          val d2 = q2(j) - x
+          val d3 = q3(j) - x
+          s0 += d0 * d0
+          s1 += d1 * d1
+          s2 += d2 * d2
+          s3 += d3 * d3
+          t += 1
+        }
+        i += AbandonCheck
+        if (s0 > b0 && s1 > b1 && s2 > b2 && s3 > b3) { lim = i; end = i }
+      }
+      while (i < end) {
         val x = block(base + i).toDouble
         val j = qOff + i
         val d0 = q0(j) - x
@@ -80,12 +160,14 @@ object VecOps {
         s3 += d3 * d3
         i += 1
       }
+      executed += 4L * end
       o0(f0 + r) = s0
       o1(f1 + r) = s1
       o2(f2 + r) = s2
       o3(f3 + r) = s3
       r += 1
     }
+    executed
   }
 
   /** `a` converted to `Double`. The conversion is exact, so the widened

@@ -225,6 +225,18 @@ class CostModelSpec extends AnyFunSuite {
     assert(w8.commSec == w4.commSec && w8.compMakespanSec == w4.compMakespanSec)
   }
 
+  test("nprobe beyond nlist estimates exactly what nprobe = nlist does") {
+    // a probe list never holds more than nlist clusters
+    for ((bv, bd) <- Seq((4, 1), (2, 2), (1, 4)); pruning <- Seq(true, false)) {
+      def cost(nprobe: Int): PlanCost = estimate(bv, bd, skewedPop(3), 100, nprobe,
+        alpha = 1.0, pruning = pruning, survival = strongPrune())
+      val (atN, beyond) = (cost(nlist), cost(2 * nlist))
+      assert(beyond.copy(perNodeLoadOps = null) == atN.copy(perNodeLoadOps = null),
+        s"${bv}x$bd pruning=$pruning")
+      assert(beyond.perNodeLoadOps.toSeq == atN.perNodeLoadOps.toSeq)
+    }
+  }
+
   test("estimate rejects list sizes that do not match the plan") {
     val plan = PartitionPlan.forWorkload(2, 2, dim, listSizes, uniformPop, balanced = true)
     intercept[IllegalArgumentException](CostModel.estimate(plan, cfg(4, 4, 1.0, pruning = true),

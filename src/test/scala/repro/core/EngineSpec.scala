@@ -109,6 +109,56 @@ class EngineSpec extends SparkSpec {
     }
   }
 
+  test("executed dim-ops never exceed the counted ones and equal them with pruning off") {
+    // with bDim = 1 each row is one 64-dimension slice, long enough for the
+    // kernels to abandon a row before its end
+    val (idx, store) = F.smallStore(spark, 4, 1)
+    try {
+      def run(pruning: Boolean): EngineResult = Engine.search(spark, store, idx, F.small.queries,
+        HarmonyConfig(nNodes = 4, k = k, nprobe = nprobe, pruning = pruning))
+      val (on, off) = (run(pruning = true), run(pruning = false))
+      assert(off.executedDimOps.sum == off.report.perNodeDimOps.sum)
+      assert(on.executedDimOps.sum < on.report.perNodeDimOps.sum,
+        s"${on.executedDimOps.sum} !< ${on.report.perNodeDimOps.sum}")
+      assert(on.report.perNodeDimOps.sum == off.report.perNodeDimOps.sum,
+        "one slice: every row is counted in full either way")
+    } finally store.unpersist()
+    for (pruning <- Seq(true, false)) {
+      val sys = deploy(Mode.HarmonyDimension, pruning = pruning)
+      try {
+        val r = sys.search(F.small.queries)
+        assert(r.executedDimOps.length == sys.plan.bDim)
+        assert(r.executedDimOps.forall(_ >= 0))
+        if (pruning) assert(r.executedDimOps.sum <= r.report.perNodeDimOps.sum)
+        else assert(r.executedDimOps.sum == r.report.perNodeDimOps.sum)
+      } finally sys.shutdown()
+    }
+  }
+
+  // ---- edge cases ----------------------------------------------------
+
+  test("nprobe beyond nlist returns the Faiss hits") {
+    val (idx, _) = F.index(spark, F.small)
+    val over = idx.nlist + 5
+    val sys = Harmony.deploy(spark, idx,
+      HarmonyConfig(nNodes = 4, k = k, nprobe = over), workloadSample = F.small.queries)
+    try assertSameTopK(sys.search(F.small.queries).hits,
+      Faiss.run(idx, F.small.queries, k, over, CostParams()).hits)
+    finally sys.shutdown()
+  }
+
+  test("k beyond the candidate count returns every candidate, as Faiss does") {
+    val (idx, _) = F.index(spark, F.small)
+    val (bigK, fewProbes) = (F.small.n + 1, 2)
+    val sys = Harmony.deploy(spark, idx,
+      HarmonyConfig(nNodes = 4, k = bigK, nprobe = fewProbes), workloadSample = F.small.queries)
+    try {
+      val want = Faiss.run(idx, F.small.queries, bigK, fewProbes, CostParams()).hits
+      assert(want.forall(_.length < bigK))
+      assertSameTopK(sys.search(F.small.queries).hits, want)
+    } finally sys.shutdown()
+  }
+
   // ---- pruning ledger -----------------------------------------------
 
   // without balanced load every batch visits the slices in dimension order

@@ -38,8 +38,9 @@ class VecOpsSpec extends AnyFunSuite {
   }
 
   test("slice partial distances sum exactly to the full distance (monotonicity basis)") {
-    // Double accumulation makes the slice sum exactly associative-safe for
-    // the slice boundaries we use — verified over many random splits.
+    // summed slice by slice, a distance may differ from the one-pass sum in
+    // its last bits (Double addition is not associative); the engine's
+    // pruning slack absorbs that, so the split sums only agree within 1e-9
     for (s <- 0 until 25) {
       val dim = 48
       val a = randVec(dim, s); val b = randVec(dim, s + 500)
@@ -100,7 +101,9 @@ class VecOpsSpec extends AnyFunSuite {
       val block = randVec(nRows * len, r.nextLong())
       val offs = Array.fill(4)(r.nextInt(10))
       val outs = Array.tabulate(4)(j => Array.fill(offs(j) + nRows + 3)(-1.0))
-      VecOps.l2PartialRows4(qs.map(VecOps.widen), qOff, block, len, rowLo, rowHi, outs, offs)
+      val executed = VecOps.l2PartialRows4(qs.map(VecOps.widen), qOff, block, len, rowLo, rowHi,
+        Array.fill(4)(Double.PositiveInfinity), outs, offs)
+      assert(executed == 4L * len * (rowHi - rowLo), s"trial $trial: unbounded rows run to the end")
       for (j <- 0 until 4; i <- outs(j).indices) {
         val row = rowLo + i - offs(j)
         if (row >= rowLo && row < rowHi) {
@@ -108,6 +111,103 @@ class VecOpsSpec extends AnyFunSuite {
             s"trial $trial: query $j row $row len=$len")
         } else assert(outs(j)(i) == -1.0, s"trial $trial: query $j wrote outside its rows at $i")
       }
+    }
+  }
+
+  /** Bounds that probe every way an early-abandoning kernel can go wrong
+    * for a row whose running sums (from `base`, dimension by dimension) are
+    * `running`: +inf, the full value and 1 ulp either side of it, every
+    * running value and 1 ulp below it (so each check boundary is hit
+    * exactly and just past), and random bounds below the full value. */
+  private def probeBounds(running: Array[Double], r: Random): Seq[Double] = {
+    val full = running.last
+    Seq(Double.PositiveInfinity, full, math.nextUp(full), math.nextDown(full)) ++
+      running.toSeq.flatMap(v => Seq(v, math.nextDown(v))) ++
+      Seq.fill(4)(full * r.nextDouble())
+  }
+
+  /** `base +` the running sums of `l2PartialAt(a, aOff, b, bOff, c)` for
+    * `c = 0..len`, each summed from 0.0 in dimension order. */
+  private def runningSums(a: Array[Float], aOff: Int, b: Array[Float], bOff: Int, len: Int,
+                          base: Double): Array[Double] =
+    Array.tabulate(len + 1)(c => base + VecOps.l2PartialAt(a, aOff, b, bOff, c))
+
+  private def randBase(r: Random): Double =
+    if (r.nextInt(4) == 0) 0.0 else math.abs(r.nextGaussian()) * math.pow(10, r.nextInt(5) - 2)
+
+  test("the bounded kernel abandons exactly when the full sum exceeds its bound") {
+    val r = new Random(33)
+    for (trial <- 0 until 150) {
+      val len = r.nextInt(301)
+      val aOff = r.nextInt(20); val bOff = r.nextInt(20)
+      val a = randVec(aOff + len + r.nextInt(5), r.nextLong())
+      val b = randVec(bOff + len + r.nextInt(5), r.nextLong())
+      val base = randBase(r)
+      val running = runningSums(a, aOff, b, bOff, len, base)
+      val full = base + VecOps.l2PartialAt(a, aOff, b, bOff, len)
+      assert(bits(running.last) == bits(full))
+      val wa = VecOps.widen(a)
+      for (bound <- probeBounds(running, r)) {
+        val out = Array.fill(3)(-1.0)
+        val executed = VecOps.l2PartialBounded(wa, aOff, b, bOff, len, base, bound, out, 1)
+        val got = out(1)
+        val ctx = s"trial $trial: len=$len base=$base bound=$bound got=$got full=$full"
+        assert(out(0) == -1.0 && out(2) == -1.0, ctx)
+        assert((got > bound) == (full > bound), ctx)
+        if (!(got > bound)) assert(bits(got) == bits(full), ctx)
+        assert(executed >= 0 && executed <= len, ctx)
+        if (executed < len) assert(got > bound, ctx)
+        if (bound == Double.PositiveInfinity) assert(executed == len, ctx)
+      }
+    }
+  }
+
+  test("the bounded 4-query row kernel abandons exactly when each full sum exceeds its bound") {
+    val r = new Random(34)
+    for (trial <- 0 until 300) {
+      val len = r.nextInt(301)
+      val qOff = r.nextInt(20)
+      val nRows = 1 + r.nextInt(4)
+      val rowLo = r.nextInt(nRows); val rowHi = rowLo + 1 + r.nextInt(nRows - rowLo)
+      val qs = Array.fill(4)(randVec(qOff + len + r.nextInt(5), r.nextLong()))
+      val block = randVec(nRows * len, r.nextLong())
+      val probe = rowLo + r.nextInt(rowHi - rowLo)
+      val bounds = Array.tabulate(4) { j =>
+        val bs = probeBounds(runningSums(qs(j), qOff, block, probe * len, len, 0.0), r)
+        // bias toward the running values, where all four pass together
+        if (r.nextInt(3) == 0) bs(r.nextInt(4)) else bs(r.nextInt(bs.length))
+      }
+      if (r.nextBoolean()) {
+        // every query's bound at the same boundary: the row stops there
+        val c = r.nextInt(len + 1)
+        val below = r.nextBoolean()
+        for (j <- 0 until 4) {
+          val v = VecOps.l2PartialAt(qs(j), qOff, block, probe * len, c)
+          bounds(j) = if (below) math.nextDown(v) else v
+        }
+      }
+      val offs = Array.fill(4)(r.nextInt(10))
+      val outs = Array.tabulate(4)(j => Array.fill(offs(j) + nRows + 3)(-1.0))
+      val executed = VecOps.l2PartialRows4(qs.map(VecOps.widen), qOff, block, len, rowLo, rowHi,
+        bounds, outs, offs)
+      assert(executed >= 0 && executed <= 4L * len * (rowHi - rowLo), s"trial $trial")
+      var abandoned = false
+      for (j <- 0 until 4; i <- outs(j).indices) {
+        val row = rowLo + i - offs(j)
+        if (row >= rowLo && row < rowHi) {
+          val got = outs(j)(i)
+          val full = VecOps.l2PartialAt(qs(j), qOff, block, row * len, len)
+          val ctx = s"trial $trial: query $j row $row len=$len bound=${bounds(j)} got=$got full=$full"
+          assert((got > bounds(j)) == (full > bounds(j)), ctx)
+          if (!(got > bounds(j))) assert(bits(got) == bits(full), ctx)
+          if (bits(got) != bits(full)) abandoned = true
+        } else assert(outs(j)(i) == -1.0, s"trial $trial: query $j wrote outside its rows at $i")
+      }
+      if (executed < 4L * len * (rowHi - rowLo)) {
+        // some row stopped early: all four of its values exceed their bounds
+        assert((0 until 4).forall(j => bounds(j) < Double.PositiveInfinity), s"trial $trial")
+      }
+      if (abandoned) assert(executed < 4L * len * (rowHi - rowLo), s"trial $trial")
     }
   }
 
