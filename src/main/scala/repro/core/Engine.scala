@@ -8,13 +8,14 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 
 import repro.ivf.IVFIndex
-import repro.linalg.{BoundedMaxHeap, Hit, VecOps}
+import repro.linalg.{BoundedMaxHeap, Hit, Par, VecOps}
 import repro.sim.{NodeLedger, Sim, SimReport, StageRecord}
 
 /** In-flight state of one (query, vector-shard) pair: which clusters to
-  * scan, the slice visit order, the current pipeline position, and the
-  * per-row partial-distance accumulators. Travels node-to-node between
-  * pipeline stages (its bytes are the counted communication).
+  * scan, the slice visit order, the current pipeline position, the per-row
+  * partial-distance accumulators, and the query's pruning bound for the
+  * wave. Travels node-to-node between pipeline stages (its rows and
+  * partials are the counted communication).
   */
 final case class CandBatch(
     qIdx: Int,
@@ -24,16 +25,93 @@ final case class CandBatch(
     clusters: Array[Int],
     rows: Array[Int],
     partial: Array[Double],
+    /** [[Engine.pruneBound]] of the query for this wave: NaN until the
+      * wave's first position derives it from that node's heap replica */
+    bound: Double,
 ) extends Serializable
 
-/** Stage task outputs: surviving batches, per-query completed hits, and one
-  * accounting record per node and pipeline position. */
+/** Per-query hit lists in primitive arrays: entry `i` holds the hits of
+  * query `qIdx(i)` at `[ends(i - 1), ends(i))` of `ids` and `dists`
+  * (`ends(-1)` is 0). */
+final case class PackedHits(qIdx: Array[Int], ends: Array[Int], ids: Array[Long], dists: Array[Double]) {
+  def size: Int = ids.length
+
+  /** Offer every hit into `heaps(qIdx)`, entry by entry, in order. */
+  def offerInto(heaps: Array[BoundedMaxHeap]): Unit = {
+    var i = 0
+    var j = 0
+    while (i < qIdx.length) {
+      val h = heaps(qIdx(i))
+      while (j < ends(i)) { h.offer(ids(j), dists(j)); j += 1 }
+      i += 1
+    }
+  }
+}
+
+object PackedHits {
+  final class Builder {
+    private val qIdx = Array.newBuilder[Int]
+    private val ends = Array.newBuilder[Int]
+    private val ids = Array.newBuilder[Long]
+    private val dists = Array.newBuilder[Double]
+    private var n = 0
+    def nonEmpty: Boolean = n > 0
+
+    /** Append query `q`'s `hits`; an empty list adds no entry. */
+    def add(q: Int, hits: Array[Hit]): Unit = if (hits.nonEmpty) {
+      qIdx += q
+      hits.foreach { h => ids += h.id; dists += h.dist }
+      n += hits.length
+      ends += n
+    }
+
+    def result(): PackedHits = PackedHits(qIdx.result(), ends.result(), ids.result(), dists.result())
+  }
+
+  /** The contents of `heaps`, best first per query. */
+  def of(heaps: Array[BoundedMaxHeap]): PackedHits = {
+    val b = new Builder
+    heaps.indices.foreach(q => b.add(q, heaps(q).toSortedArray))
+    b.result()
+  }
+}
+
+/** Stage task outputs: surviving batches, each node's completed hits of a
+  * wave, each node's heap replica, and one accounting record per node, wave
+  * and pipeline position. */
 sealed trait StageOut extends Serializable
 final case class SurvivorOut(batch: CandBatch) extends StageOut
-final case class CompletedOut(qIdx: Int, hits: Array[Hit]) extends StageOut
+/** Wave `wave`'s completed hits from `node`'s final-position batches, in
+  * batch order: replicated to every node for the next wave's bounds and
+  * forwarded once to the batch's `collect`. */
+final case class HitsOut(wave: Int, node: Int, hits: PackedHits) extends StageOut
+/** `node`'s replica of the batch's top-K heaps, carried from one wave's
+  * first position to the next wave's on the same node. */
+final case class ReplicaOut(node: Int, heaps: PackedHits) extends StageOut
 final case class LedgerOut(
-    pos: Int, node: Int, ledger: NodeLedger, entering: Long, pruned: Long, executed: Long,
+    wave: Int, pos: Int, node: Int, ledger: NodeLedger, entering: Long, pruned: Long, executed: Long,
+    /** [[Engine.boundsChecksum]] of the bounds the node derived for the
+      * wave, at its first position (0 at later positions) */
+    boundsSum: Long,
 ) extends StageOut
+
+/** Driver wall time of one search batch by phase, in nanoseconds. Not
+  * priced and not part of any ledger. */
+final case class DriverPhases(
+    /** query validation and widening to `Double` */
+    validateNs: Long,
+    /** centroid routing (the probe lists) */
+    routeNs: Long,
+    /** prewarm heap offers */
+    prewarmNs: Long,
+    /** every wave's per-node inputs */
+    waveBuildNs: Long,
+    /** building the lineage, submitting the job and `collect` returning */
+    jobNs: Long,
+    /** replaying the waves' merges (with the replica cross-check), then
+      * `Sim.evaluate` and the result */
+    mergeNs: Long,
+)
 
 /** Result of one search batch. */
 final case class EngineResult(
@@ -50,6 +128,7 @@ final case class EngineResult(
       * with pruning off. Not priced. */
     executedDimOps: Array[Long],
     perNodePeakStateBytes: Array[Long],
+    driver: DriverPhases,
 ) {
   /** Fraction of candidates whose distance computation at position p was
     * skipped — the paper's Table 3 "pruning ratio of slice p+1". */
@@ -70,17 +149,25 @@ final case class EngineResult(
   * dimension slice and co-partitioned (via [[NodePartitioner]]) with the
   * base-vector blocks, so each simulated node computes partial distances for
   * exactly the state that was routed to it; the shuffle between stages *is*
-  * the inter-machine transfer and is counted byte-for-byte. The driver plays
-  * the master: it owns the per-query top-K heaps and merges completed
-  * distances.
+  * the inter-machine transfer and is counted byte-for-byte.
   *
-  * Heaps, and so the pruning thresholds τ², change only when the driver
-  * merges a wave's final-position hits. Every position of a wave therefore
-  * reads the same τ², broadcast once per wave, and a wave is one Spark job:
-  * its inputs are placed directly on the nodes holding their first blocks
-  * (no shuffle), each position's survivors reach the next position through
-  * a `partitionBy` shuffle, and each position's [[LedgerOut]]s are forwarded
-  * through those shuffles to the wave's single `collect`.
+  * A batch is one Spark job. The driver routes the queries, prewarms their
+  * top-K heaps and builds every wave's per-node inputs up front; slice
+  * offsets depend only on row counts. Each (wave, position) is one stage:
+  * a wave's inputs join it at its first position, each position's survivors
+  * reach the next through a `partitionBy` shuffle, and the shuffle after a
+  * wave's final position carries its completed hits to every node, where
+  * the next wave's first position starts.
+  *
+  * The nodes play the master for τ: each keeps a replica of the heaps
+  * (starting from the driver's prewarm heaps), folds every wave's hits into
+  * it in (source node, sequence) order, and derives the next wave's bounds
+  * from it; survivors carry their bound in [[CandBatch]]. Heap contents do
+  * not depend on offer order, so every replica holds what the driver's
+  * heaps hold after the same waves. Ledgers and hits are forwarded through
+  * the shuffles to the batch's single `collect`; the driver then replays
+  * the merges wave by wave, checks each node's bounds against its own, and
+  * produces the top-K.
   */
 object Engine {
 
@@ -94,6 +181,7 @@ object Engine {
       queries: Array[Array[Float]],
       cfg: HarmonyConfig,
   ): EngineResult = {
+    val t0 = System.nanoTime()
     val plan = store.plan
     val nNodes = plan.nNodes
     val bDim = plan.bDim
@@ -104,35 +192,42 @@ object Engine {
       require(q.length == index.dim, s"query $qi has ${q.length} components, index has ${index.dim}")
       require(!q.exists(_.isNaN), s"query $qi contains NaN")
     }
-
-    var clientOps = 0L
-    var clientBytes = 0L
+    val k = cfg.k
+    val pruning = cfg.pruning
 
     // every kernel below reads the queries widened to Double, once per batch
     val wide = queries.map(VecOps.widen)
+    val t1 = System.nanoTime()
 
-    // ---- Stage 0 (client): centroid routing + prewarm (Alg 1, PrewarmHeap)
-    val probes: Array[Array[Int]] =
-      wide.map(q => VecOps.nearestN(q, index.centroids, cfg.nprobe))
-    clientOps += nQ.toLong * index.nlist * plan.dim
+    // ---- Stage 0 (client): centroid routing + prewarm (Alg 1, PrewarmHeap),
+    // each over disjoint query ranges on driver threads
+    val probes = new Array[Array[Int]](nQ)
+    Par.foreachChunk(nQ, (lo, hi) =>
+      (lo until hi).foreach(qi => probes(qi) = VecOps.nearestN(wide(qi), index.centroids, cfg.nprobe)))
+    var clientOps = nQ.toLong * index.nlist * plan.dim
+    val t2 = System.nanoTime()
 
-    val heaps = Array.fill(nQ)(new BoundedMaxHeap(cfg.k))
-    if (cfg.pruning) {
-      var qi = 0
-      while (qi < nQ) {
-        probes(qi).foreach { c =>
+    val heaps = new Array[BoundedMaxHeap](nQ)
+    clientOps += Par.mapChunks(nQ, (lo, hi) => {
+      var ops = 0L
+      var qi = lo
+      while (qi < hi) {
+        heaps(qi) = new BoundedMaxHeap(k)
+        if (pruning) probes(qi).foreach { c =>
           val ids = store.sampleIds(c)
           val vecs = store.sampleVecs(c)
           var j = 0
           while (j < math.min(ids.length, cfg.prewarmPerCluster)) {
             heaps(qi).offer(ids(j), VecOps.l2PartialAt(wide(qi), 0, vecs(j), 0, plan.dim))
-            clientOps += plan.dim
+            ops += plan.dim
             j += 1
           }
         }
         qi += 1
       }
-    }
+      ops
+    }).sum
+    val t3 = System.nanoTime()
 
     // ---- vector-level pipeline batching (Fig 5a): each query's probed
     // clusters, already ordered by centroid promise, are split into
@@ -153,25 +248,19 @@ object Engine {
           }
         }
       }
-      buckets.map(_.toSeq)
+      buckets.map(_.toSeq).filter(_.nonEmpty)
     }
+    val nWaves = waves.length
 
-    val stages = ArrayBuffer.empty[StageRecord]
-    val enteringByPos = new Array[Long](bDim)
-    val prunedByPos = new Array[Long](bDim)
-    val executedByPos = new Array[Long](bDim)
-    val pruning = cfg.pruning
-    val k = cfg.k
-    val bcLayouts = store.bcLayouts
-
-    val bcQueries = sc.broadcast(wide)
-    try waves.filter(_.nonEmpty).foreach { wave =>
-      // slice start offsets (§4.3 load balancing): in dimension order
-      // without balanced load, otherwise each batch, largest first, starts
-      // at the slice whose node has the least first-stage load so far
+    // every wave's inputs, placed straight onto the node holding each
+    // batch's first block. Slice start offsets (§4.3 load balancing): in
+    // dimension order without balanced load, otherwise each batch, largest
+    // first, starts at the slice whose node has the least first-stage load
+    // of its wave so far
+    val inputs: IndexedSeq[Seq[Array[(Int, StageOut)]]] = waves.map { wave =>
       val nodeLoad = new Array[Long](nNodes)
-      val ordered = wave.sortBy(p => (-p.nRows, p.qIdx, p.shard))
-      val offsets: Map[(Int, Int), Int] = ordered.map { p =>
+      val byNode = Array.fill(nNodes)(ArrayBuffer.empty[(Int, StageOut)])
+      wave.sortBy(p => (-p.nRows, p.qIdx, p.shard)).foreach { p =>
         val off =
           if (!cfg.balancedLoad || bDim == 1) 0
           else {
@@ -179,68 +268,67 @@ object Engine {
             nodeLoad(plan.nodeOf(p.shard, best)) += p.nRows
             best
           }
-        ((p.qIdx, p.shard), off)
-      }.toMap
-
-      // wave inputs are placed straight onto the node holding their first
-      // block: one parallelize slice per node, zipped with that node's blocks
-      val byNode = Array.fill(nNodes)(ArrayBuffer.empty[(Int, StageOut)])
-      wave.foreach { p =>
-        val off = offsets((p.qIdx, p.shard))
         val order = Array.tabulate(bDim)(i => (off + i) % bDim)
         val b = CandBatch(p.qIdx, p.shard, order, 0, p.clusters,
-          rows = Array.emptyIntArray, partial = Array.emptyDoubleArray)
+          rows = Array.emptyIntArray, partial = Array.emptyDoubleArray, bound = Double.NaN)
         val bid = plan.blockId(p.shard, order(0))
         byNode(plan.nodeOfBlock(bid)) += ((bid, SurvivorOut(b)))
       }
+      byNode.toSeq.map(_.toArray)
+    }
+    // every node's heap replica starts from the prewarm heaps
+    val prewarmed = PackedHits.of(heaps)
+    val replicas: Seq[(Int, StageOut)] = (0 until nNodes).map(n => (n, ReplicaOut(n, prewarmed)))
+    val t4 = System.nanoTime()
 
-      // heaps (hence τ) change only at the wave's final merge, so every
-      // position reads the same bounds and the whole wave is one Spark job
-      val bcBounds = sc.broadcast(heaps.map(h => pruneBound(h.threshold, pruning)))
-      val meta = try {
-        var in: RDD[(Int, StageOut)] = sc.parallelize(byNode.toSeq, nNodes).flatMap(_.iterator)
-        var out: RDD[StageOut] = null
-        var pos = 0
-        while (pos < bDim) {
-          val stagePos = pos
-          out = in.zipPartitions(store.blocks) { (recs, blocks) =>
-            // ledgers of earlier positions ride along to the wave's collect
-            val forwarded = ArrayBuffer.empty[StageOut]
-            val cands = recs.flatMap {
-              case (bid, SurvivorOut(b)) => Iterator.single((bid, b))
-              case (_, l) => forwarded += l; Iterator.empty
-            }
-            processStage(cands, blocks, bcQueries, bcBounds, bcLayouts, stagePos, bDim, k) ++
-              forwarded
-          }
-          if (pos < bDim - 1) {
-            in = out
-              .map {
-                case s @ SurvivorOut(b) => (b.shard * bDim + b.sliceOrder(b.pos), s: StageOut)
-                case l: LedgerOut => (l.node, l: StageOut)
-                case c => throw new IllegalStateException(s"$c before the final position")
-              }
-              .partitionBy(plan.partitioner)
-          }
-          pos += 1
-        }
-        out.collect()
-      } finally bcBounds.destroy()
-
-      val perNode = Array.fill(bDim, nNodes)(NodeLedger())
-      meta.foreach {
-        case LedgerOut(p, node, ledger, entering, pruned, executed) =>
-          perNode(p)(node).add(ledger)
-          enteringByPos(p) += entering
-          prunedByPos(p) += pruned
-          executedByPos(p) += executed
-        case CompletedOut(qIdx, hits) =>
-          heaps(qIdx).offerAll(hits)
-          clientBytes += hits.length.toLong * 12L
-        case s: SurvivorOut => throw new IllegalStateException(s"$s after the final position")
+    // stage w·bDim + pos zips what reaches each node from before (the
+    // replicas at first, then the previous stage's shuffled output), the
+    // node's wave inputs (none after a first position) and its blocks
+    val bcQueries = sc.broadcast(wide)
+    val meta = try {
+      val consts = StageConsts(bcQueries, store.bcLayouts, nWaves, nNodes, bDim, k, pruning)
+      val noInputs = sc.parallelize(Seq.fill(nNodes)(Array.empty[(Int, StageOut)]), nNodes)
+      var prev: RDD[(Int, StageOut)] = sc.parallelize(replicas, nNodes)
+      for (w <- 0 until nWaves; pos <- 0 until bDim) {
+        val mine = if (pos == 0) sc.parallelize(inputs(w), nNodes) else noInputs
+        val out = prev.zipPartitions(mine, store.blocks)(new StageFn(consts, w, pos))
+        prev = if (w < nWaves - 1 || pos < bDim - 1) out.partitionBy(plan.partitioner) else out
       }
-      perNode.indices.foreach(p => stages += StageRecord(stages.size, p, perNode(p)))
+      prev.collect()
     } finally bcQueries.destroy()
+    val t5 = System.nanoTime()
+
+    // replay the merges wave by wave, as the nodes did
+    val perNode = Array.fill(nWaves, bDim, nNodes)(NodeLedger())
+    val boundsSums = Array.fill(nWaves, nNodes)(Option.empty[Long])
+    val hitsOf = Array.fill(nWaves)(ArrayBuffer.empty[HitsOut])
+    val enteringByPos = new Array[Long](bDim)
+    val prunedByPos = new Array[Long](bDim)
+    val executedByPos = new Array[Long](bDim)
+    meta.foreach {
+      case (_, l: LedgerOut) =>
+        perNode(l.wave)(l.pos)(l.node).add(l.ledger)
+        enteringByPos(l.pos) += l.entering
+        prunedByPos(l.pos) += l.pruned
+        executedByPos(l.pos) += l.executed
+        if (l.pos == 0) boundsSums(l.wave)(l.node) = Some(l.boundsSum)
+      case (_, h: HitsOut) => hitsOf(h.wave) += h
+      case (_, o) => throw new IllegalStateException(s"$o reached the batch's collect")
+    }
+    val stages = ArrayBuffer.empty[StageRecord]
+    var clientBytes = 0L
+    (0 until nWaves).foreach { w =>
+      val expected = boundsChecksum(heaps.map(h => pruneBound(h.threshold, pruning)))
+      (0 until nNodes).foreach { n =>
+        if (!boundsSums(w)(n).contains(expected)) throw new IllegalStateException(
+          s"node $n pruned wave $w against bounds ${boundsSums(w)(n)} that differ from the driver's $expected")
+      }
+      hitsOf(w).sortBy(_.node).foreach { h =>
+        h.hits.offerInto(heaps)
+        clientBytes += h.hits.size.toLong * 12L
+      }
+      (0 until bDim).foreach(p => stages += StageRecord(stages.size, p, perNode(w)(p)))
+    }
 
     val report = Sim.evaluate(stages.toSeq, cfg.costParams, overlapComm = cfg.pipeline,
       nNodes, nQ, clientOps, clientBytes)
@@ -250,8 +338,101 @@ object Engine {
       if (st.perNode(n).bytesIn > peaks(n)) peaks(n) = st.perNode(n).bytesIn
     })
 
-    EngineResult(heaps.map(_.toSortedArray), report, enteringByPos, prunedByPos, executedByPos,
-      peaks)
+    val hits = heaps.map(_.toSortedArray)
+    val t6 = System.nanoTime()
+    EngineResult(hits, report, enteringByPos, prunedByPos, executedByPos, peaks,
+      DriverPhases(t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t6 - t5))
+  }
+
+  /** What every stage task of a batch reads besides its records. */
+  private final case class StageConsts(
+      queries: Broadcast[Array[Array[Double]]],
+      layouts: Broadcast[Array[ShardLayout]],
+      nWaves: Int,
+      nNodes: Int,
+      bDim: Int,
+      k: Int,
+      pruning: Boolean,
+  )
+
+  /** The task of stage (`wave`, `pos`), keyed for the shuffle after it.
+    * A named class rather than a lambda: Spark's closure cleaner scans the
+    * bytecode of a lambda's enclosing class (this large object) on every
+    * RDD operation, about 1 ms each on the driver before the job is
+    * submitted, and it skips named classes. */
+  private final class StageFn(c: StageConsts, wave: Int, pos: Int)
+      extends ((Iterator[(Int, StageOut)], Iterator[Array[(Int, StageOut)]], Iterator[(Int, BlockData)]) =>
+        Iterator[(Int, StageOut)]) with Serializable {
+    def apply(
+        prev: Iterator[(Int, StageOut)],
+        mine: Iterator[Array[(Int, StageOut)]],
+        blocks: Iterator[(Int, BlockData)],
+    ): Iterator[(Int, StageOut)] =
+      stageTask(prev ++ mine.flatMap(_.iterator), blocks, c, wave, pos).flatMap(route)
+
+    /** Where an output goes in the shuffle after this stage: survivors to
+      * the node of their next block, this wave's hits (emitted at its final
+      * position) to every node if another wave follows, everything else
+      * back to the node holding it (the last stage's output is collected
+      * as it is keyed). */
+    private def route(o: StageOut): Iterator[(Int, StageOut)] = o match {
+      case s @ SurvivorOut(b) => Iterator.single((b.shard * c.bDim + b.sliceOrder(b.pos), s))
+      case h: HitsOut if h.wave == wave && wave < c.nWaves - 1 => Iterator.tabulate(c.nNodes)(n => (n, h))
+      case h: HitsOut => Iterator.single((h.node, h))
+      case r: ReplicaOut => Iterator.single((r.node, r))
+      case l: LedgerOut => Iterator.single((l.node, l))
+    }
+  }
+
+  /** One node's task at position `pos` of wave `wave`. At a first position
+    * the node folds the previous wave's hits from every node into its heap
+    * replica, in (source node, sequence) order, derives the wave's bounds
+    * from it and passes the replica on to its next wave; of those hits it
+    * forwards only its own, so each reaches the `collect` once. Ledgers,
+    * hits and the replica of earlier steps ride along.
+    */
+  private def stageTask(
+      recs: Iterator[(Int, StageOut)],
+      blocks: Iterator[(Int, BlockData)],
+      c: StageConsts,
+      wave: Int,
+      pos: Int,
+  ): Iterator[StageOut] = {
+    val node = TaskContext.getPartitionId()
+    val cands = ArrayBuffer.empty[(Int, CandBatch)]
+    val fresh = ArrayBuffer.empty[HitsOut]
+    val forwarded = ArrayBuffer.empty[StageOut]
+    var replica: ReplicaOut = null
+    recs.foreach {
+      case (bid, SurvivorOut(b)) => cands += ((bid, b))
+      case (_, r: ReplicaOut) if pos == 0 => replica = r
+      case (_, h: HitsOut) if pos == 0 && h.wave == wave - 1 =>
+        fresh += h
+        if (h.node == node) forwarded += h
+      case (_, o) => forwarded += o
+    }
+    val queries = c.queries.value
+    var bounds: Array[Double] = null
+    var boundsSum = 0L
+    if (pos == 0) {
+      if (replica == null) throw new IllegalStateException(s"no heap replica reached node $node in wave $wave")
+      val heaps = Array.fill(queries.length)(new BoundedMaxHeap(c.k))
+      replica.heaps.offerInto(heaps)
+      fresh.sortBy(_.node).foreach(_.hits.offerInto(heaps))
+      bounds = heaps.map(h => pruneBound(h.threshold, c.pruning))
+      boundsSum = boundsChecksum(bounds)
+      if (wave < c.nWaves - 1) forwarded += ReplicaOut(node, PackedHits.of(heaps))
+    }
+    processStage(cands.iterator, blocks, queries, bounds, c.layouts.value, wave, pos, c.bDim, c.k, node,
+      boundsSum) ++ forwarded
+  }
+
+  /** Order-dependent checksum of bounds by bit pattern: a difference in any
+    * single bound always changes it (the multiplier is odd). */
+  private def boundsChecksum(bounds: Array[Double]): Long = {
+    var h = 0L
+    bounds.foreach(b => h = h * 0x9E3779B97F4A7C15L + java.lang.Double.doubleToRawLongBits(b))
+    h
   }
 
   /** The bound above which a partial distance is pruned, and at which the
@@ -265,32 +446,34 @@ object Engine {
   /** One pipeline stage on one simulated node (Alg 1, DimensionPipeline
     * body): materialize rows on first touch, accumulate the local slice's
     * partial distances, prune rows whose partial already exceeds the
-    * query's [[pruneBound]], and either forward the surviving state or emit
-    * final top-k hits. Each batch's `rows` and `partial` are consumed:
-    * survivors are compacted in place before they are copied out.
+    * query's [[pruneBound]] (`bounds` at the first position, where they
+    * are derived; each batch's own `bound` later), and either forward the
+    * surviving state or emit final top-k hits, one [[HitsOut]] per node.
+    * Each batch's `rows` and `partial` are consumed: survivors are
+    * compacted in place before they are copied out.
     */
   private def processStage(
       cands: Iterator[(Int, CandBatch)],
       blocks: Iterator[(Int, BlockData)],
-      bcQueries: Broadcast[Array[Array[Double]]],
-      bcBounds: Broadcast[Array[Double]],
-      bcLayouts: Broadcast[Array[ShardLayout]],
+      queries: Array[Array[Double]],
+      bounds: Array[Double],
+      layouts: Array[ShardLayout],
+      wave: Int,
       pos: Int,
       bDim: Int,
       k: Int,
+      node: Int,
+      boundsSum: Long,
   ): Iterator[StageOut] = {
-    val node = TaskContext.getPartitionId()
     val blockMap = blocks.toMap
     def blockOf(bid: Int): BlockData = blockMap.getOrElse(bid,
       throw new IllegalStateException(s"block $bid not resident on node $node"))
-    val queries = bcQueries.value
-    val bounds = bcBounds.value
-    val layouts = bcLayouts.value
     val ledger = NodeLedger()
     var entering = 0L
     var prunedCount = 0L
     var executed = 0L
     val outs = ArrayBuffer.empty[StageOut]
+    val completed = new PackedHits.Builder
 
     // at the first position one scan, grouped by cluster, fills every
     // batch's partials; later positions add their slice per batch below
@@ -306,7 +489,7 @@ object Engine {
       val block = blockOf(bid)
       val layout = layouts(b.shard)
       val q = queries(b.qIdx)
-      val bound = bounds(b.qIdx)
+      val bound = b.bound
 
       // comm in: first hop carries the query chunk + cluster id list;
       // later hops carry the partial state + the query chunk.
@@ -358,7 +541,7 @@ object Engine {
           val hits = heap.toSortedArray
           ledger.bytesOut += hits.length.toLong * 12L
           ledger.msgsOut += 1
-          outs += CompletedOut(b.qIdx, hits)
+          completed.add(b.qIdx, hits)
         }
       } else if (kept > 0) {
         val survivor = b.copy(
@@ -371,13 +554,15 @@ object Engine {
       }
     }
 
-    outs += LedgerOut(pos, node, ledger, entering, prunedCount, executed)
+    if (completed.nonEmpty) outs += HitsOut(wave, node, completed.result())
+    outs += LedgerOut(wave, pos, node, ledger, entering, prunedCount, executed, boundsSum)
     outs.iterator
   }
 
   /** A wave's first position on one node: each of `batches`, copied with
-    * its candidate rows (its clusters' shard-row ranges, in cluster order)
-    * and this slice's distances in `partial`, and the dim-ops the kernels
+    * its candidate rows (its clusters' shard-row ranges, in cluster order),
+    * this slice's distances in `partial` and its query's bound from
+    * `bounds`, and the dim-ops the kernels
     * executed. The batches are grouped by (block, cluster), so each cluster
     * range is read once for every query that probes it, four queries at a
     * time; the 1–3 left over go through the one-query kernel. Each row's
@@ -417,7 +602,7 @@ object Engine {
         var r = lo
         while (r < hi) { rows(w) = r; w += 1; r += 1 }
       }
-      (bid, b.copy(rows = rows, partial = partial))
+      (bid, b.copy(rows = rows, partial = partial, bound = bounds(b.qIdx)))
     }
 
     // the 4-query kernel's arguments, refilled for every group of four

@@ -5,6 +5,16 @@ import scala.collection.mutable
 /** One scored search hit: vector `id` at squared distance `dist`. */
 final case class Hit(id: Long, dist: Double)
 
+object Hit {
+  /** Ascending by (dist, id), `Double.compare` then `Long.compare`: the
+    * order of `Ordering.by(h => (h.dist, h.id))` without a boxed tuple per
+    * comparison. */
+  val byDistThenId: Ordering[Hit] = (a: Hit, b: Hit) => {
+    val c = java.lang.Double.compare(a.dist, b.dist)
+    if (c != 0) c else java.lang.Long.compare(a.id, b.id)
+  }
+}
+
 /** Bounded max-heap holding the K best (smallest-distance) candidates.
   *
   * This is the paper's per-query top-K heap: `threshold` is the pruning
@@ -15,8 +25,7 @@ final case class Hit(id: Long, dist: Double)
 final class BoundedMaxHeap(val k: Int) {
   require(k > 0, s"k must be positive, got $k")
 
-  private val ord = Ordering.by[Hit, (Double, Long)](h => (h.dist, h.id)) // max-heap on dist
-  private val heap = mutable.PriorityQueue.empty[Hit](ord)
+  private val heap = mutable.PriorityQueue.empty[Hit](Hit.byDistThenId) // max-heap on (dist, id)
   private val byId = mutable.HashMap.empty[Long, Double]
 
   /** Current pruning threshold τ²: worst kept distance when full, else +∞. */
@@ -48,10 +57,8 @@ final class BoundedMaxHeap(val k: Int) {
     }
   }
 
-  def offerAll(hits: IterableOnce[Hit]): Unit = hits.iterator.foreach(h => offer(h.id, h.dist))
-
   /** Best-first (ascending distance, then id) snapshot. */
-  def toSortedArray: Array[Hit] = heap.toArray.sortBy(h => (h.dist, h.id))
+  def toSortedArray: Array[Hit] = heap.toArray.sorted(Hit.byDistThenId)
 
   def contains(id: Long): Boolean = byId.contains(id)
 }

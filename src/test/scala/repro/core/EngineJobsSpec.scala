@@ -10,9 +10,9 @@ import org.scalatest.time.{Seconds, Span}
 import repro.{SparkSpec, TestFixtures => F}
 import repro.ivf.IVFIndex
 
-/** How a search uses Spark: one job per non-empty wave with one stage per
-  * dimension slice, nothing left cached, and nothing left broadcast when a
-  * wave fails.
+/** How a search uses Spark: one job per batch with one stage per non-empty
+  * wave and dimension slice, one broadcast released before it returns,
+  * nothing left cached, and nothing left broadcast when the job fails.
   */
 class EngineJobsSpec extends SparkSpec with Eventually {
 
@@ -43,17 +43,29 @@ class EngineJobsSpec extends SparkSpec with Eventually {
          ((4, 1), 8, true, 4), ((2, 2), 8, true, 4), ((1, 4), 8, true, 4),
          ((1, 4), 3, true, 3), ((2, 2), 8, false, 1))) {
     val tag = s"${bVec}x$bDim, nprobe $nprobe, pipeline $pipeline"
-    test(s"$tag: one job per non-empty wave, bDim stages each, nothing persisted") {
+    test(s"$tag: one job per batch running non-empty waves × bDim stages, one broadcast, nothing persisted") {
       val (idx, store) = F.smallStore(spark, bVec, bDim)
       val sc = spark.sparkContext
       val rec = new JobRecorder(tag)
       sc.addSparkListener(rec)
       try {
         val persistedBefore = sc.getPersistentRDDs.keySet
+        // broadcast ids are allocated in sequence: the engine's own come
+        // before its job is submitted, then Spark adds one task binary per
+        // stage it runs; probes on either side delimit the search's ids
+        val before = sc.broadcast(0)
+        before.destroy()
         sc.setLocalProperty(tagKey, tag)
         try search(idx, store, nprobe, pipeline) finally sc.setLocalProperty(tagKey, null)
+        val after = sc.broadcast(0)
+        after.destroy()
         SparkInternals.drainListenerBus(sc)
-        assert(rec.stagesRunPerJob == Seq.fill(waves)(bDim))
+        assert(rec.stagesRunPerJob == Seq(waves * bDim))
+        val created = after.id - before.id - 1
+        assert(created - waves * bDim == 1, s"$created broadcasts for ${waves * bDim} stages")
+        eventually(timeout(Span(10, Seconds))) {
+          assert(!SparkInternals.broadcastIds().contains(before.id + 1), "the search's broadcast is alive")
+        }
         assert(sc.getPersistentRDDs.keySet == persistedBefore)
       } finally {
         sc.removeSparkListener(rec)

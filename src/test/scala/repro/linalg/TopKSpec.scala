@@ -2,6 +2,8 @@ package repro.linalg
 
 import java.util.Random
 
+import org.scalacheck.{Gen, Prop, Test => Check}
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 
 class TopKSpec extends AnyFunSuite {
@@ -93,6 +95,38 @@ class TopKSpec extends AnyFunSuite {
       assert(h.threshold <= last)
       last = h.threshold
     }
+  }
+
+  // few ids and few distances, so repeated ids and equal distances are common
+  private val hitsGen: Gen[List[(Long, Double)]] =
+    Gen.listOf(Gen.zip(Gen.choose(0L, 12L), Gen.choose(0, 6).map(_ * 0.5)))
+
+  private def offered(h: BoundedMaxHeap, hits: Seq[(Long, Double)]): BoundedMaxHeap = {
+    hits.foreach { case (id, d) => h.offer(id, d) }
+    h
+  }
+
+  private def check(p: Prop): Unit = {
+    val res = Check.check(Check.Parameters.default.withMinSuccessfulTests(500), p)
+    assert(res.passed, Pretty.pretty(res))
+  }
+
+  test("offering one multiset of hits in any order leaves the same contents and threshold") {
+    check(Prop.forAll(Gen.choose(1, 6), hitsGen, Gen.long) { (k, hits, seed) =>
+      val a = offered(new BoundedMaxHeap(k), hits)
+      val b = offered(new BoundedMaxHeap(k), new scala.util.Random(seed).shuffle(hits))
+      a.toSortedArray.toSeq == b.toSortedArray.toSeq && a.threshold == b.threshold
+    })
+  }
+
+  test("a heap rebuilt from its sorted contents takes further offers like the original") {
+    check(Prop.forAll(Gen.choose(1, 6), hitsGen, hitsGen) { (k, first, next) =>
+      val a = offered(new BoundedMaxHeap(k), first)
+      val b = offered(new BoundedMaxHeap(k), a.toSortedArray.map(h => (h.id, h.dist)).toSeq)
+      offered(a, next)
+      offered(b, next)
+      a.toSortedArray.toSeq == b.toSortedArray.toSeq && a.threshold == b.threshold
+    })
   }
 
   test("bruteForce returns exact nearest neighbours") {
