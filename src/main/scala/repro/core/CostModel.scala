@@ -1,42 +1,36 @@
 package repro.core
 
-import repro.sim.Sim
+import scala.collection.mutable
+
+import repro.sim.{NodeLedger, SimReport}
 
 /** The fine-grained query planner's cost model (§4.2).
   *
-  * For each candidate grid π = (bVec, bDim) it estimates, from lightweight
-  * workload statistics (per-cluster probe popularity, list sizes, the
-  * dimension-variance profile, and a sampled distance distribution):
-  *
-  *  - per-node computational load `Load(n, π)` in dim-ops. Loads are
-  *    *slice-aware*: the node hosting a high-energy dimension slice does
-  *    mostly unprunable work (candidates cannot be pruned before their
-  *    first informative slice), while low-energy slice hosts see only
-  *    pruning survivors — the imbalance pruning itself creates (§4.3);
-  *  - the imbalance factor `I(π)` — the std-dev of per-node loads;
-  *  - communication cost: query-chunk distribution plus `bDim − 1`
-  *    partial-state hops per (query, shard) batch (total bytes unchanged by
-  *    the split, §4.2.2) plus per-message framing;
-  *  - overall cost `C(π, Q) = makespan(comp) + comm + stages + α · I(π)`.
-  *
-  * The chooser returns the argmin plan. `α` expresses the user's
-  * skew-aversion, as in the paper.
+  * For a candidate plan π it predicts the ledgers the engine will count on
+  * the workload sample: the engine's own wave layout and counting rules
+  * ([[Dataflow]]) run on the sample's probe lists, with the rows that
+  * survive pruning along each batch's slice order predicted from the
+  * dimension-variance profile and a sampled distance distribution
+  * ([[SurvivalStats]]). So the node hosting a batch's first, high-energy
+  * slice does mostly unprunable work, while later slices see only
+  * survivors (§4.3). Then `C(π, Q) = T(π) + α · I(π)`, where `T(π)` is the
+  * simulated time of the predicted ledgers, priced exactly as the engine
+  * prices its counted ones, and `I(π)` is the std-dev of the predicted
+  * per-node dim-ops in seconds; the model has no timing formula of its own.
+  * `choose` returns the argmin plan; `α` is the user's skew-aversion.
   */
 object CostModel {
 
-  /** Estimated cost decomposition of one candidate plan. */
+  /** The predicted cost of one candidate plan: the simulated report of its
+    * predicted ledgers, the imbalance term `I(π)` in seconds, and
+    * `C(π, Q) = report.totalSeconds + α · imbalanceSec`. */
   final case class PlanCost(
       bVec: Int,
       bDim: Int,
-      compMakespanSec: Double,
-      commSec: Double,
+      report: SimReport,
       imbalanceSec: Double,
       totalSec: Double,
-      perNodeLoadOps: Array[Double],
   )
-
-  /** Per-candidate-state bytes moved between stages (row index + partial). */
-  val StateBytesPerRow: Int = 12
 
   /** Pruning statistics the planner consumes:
     *
@@ -54,33 +48,6 @@ object CostModel {
     def sliceEnergy(bDim: Int, j: Int): Double = {
       val b = PartitionPlan.dimSlices(dim, bDim)
       energyCumFrac(b(j + 1)) - energyCumFrac(b(j))
-    }
-
-    /** Expected survivor fraction arriving at slice `j` under uniformly
-      * rotated start offsets: average over offsets `o` of the survival at
-      * the distance mass accumulated on the slices visited before `j`. */
-    def arrivalSurv(bDim: Int, j: Int): Double = {
-      if (bDim == 1) return 1.0
-      val e = Array.tabulate(bDim)(sliceEnergy(bDim, _))
-      val survs = for (o <- 0 until bDim) yield {
-        var cum = 0.0
-        var s = o
-        while (s != j) { cum += e(s); s = (s + 1) % bDim }
-        survAtCum(cum)
-      }
-      survs.sum / bDim
-    }
-
-    /** Expected survivor fraction after `p` pipeline positions, averaged
-      * over start offsets (drives forwarded-state volume). */
-    def positionSurv(bDim: Int, p: Int): Double = {
-      if (p == 0) return 1.0
-      val e = Array.tabulate(bDim)(sliceEnergy(bDim, _))
-      val survs = for (o <- 0 until bDim) yield {
-        val cum = (0 until p).map(i => e((o + i) % bDim)).sum
-        survAtCum(cum)
-      }
-      survs.sum / bDim
     }
   }
 
@@ -174,87 +141,84 @@ object CostModel {
     }
   }
 
-  /** Estimate the cost of deploying `plan` under `cfg`: its shards, slices
-    * and nodes are read from the plan; `k`, `nprobe`, `maxWaves`, `alpha`,
-    * `pruning` and `costParams` from the config.
+  /** The ledgers the engine would count searching a batch whose queries
+    * probe `probes` on `plan` under `cfg`, for a store whose prewarm sample
+    * holds `cfg.prewarmPerCluster` vectors per cluster (as deploy builds it).
+    * Waves, slice orders and every count follow [[Dataflow]]; a batch of
+    * `nRows` candidates enters position `p` with
+    * `nRows × survAtCum(mass of the slices it visited before p)` rows,
+    * rounded, and returns `min(k, survivors)` hits. With pruning off every
+    * row survives and the prediction is the engine's count exactly.
     *
-    * @param listSizes  rows per cluster
-    * @param popularity fraction of query probes landing on each cluster
-    *                   (sums to 1 over clusters)
-    * @param nQ         queries in the batch
+    * @param listSizes rows per cluster
+    * @param probes    each sample query's probe list, ordered by centroid
+    *                  promise (`VecOps.nearestN`)
     */
-  def estimate(
+  def predict(
       plan: PartitionPlan, cfg: HarmonyConfig,
-      listSizes: Array[Int], popularity: Array[Double],
-      nQ: Int, survival: SurvivalStats,
-  ): PlanCost = {
-    import plan.{bDim, bVec, dim, nNodes}
+      listSizes: Array[Int], probes: Array[Array[Int]], survival: SurvivalStats,
+  ): BatchLedgers = {
+    import plan.{bDim, nNodes}
     require(listSizes.length == plan.nlist,
       s"${listSizes.length} list sizes for a plan over ${plan.nlist} clusters")
-    val params = cfg.costParams
-    val surv = if (cfg.pruning) survival else SurvivalStats.none(dim)
-    val nlist = listSizes.length
-    // expected probes of cluster c over the batch; a query probes at most
-    // every cluster once (`VecOps.nearestN` caps its list at nlist)
-    val probes = popularity.map(_ * nQ * math.min(cfg.nprobe, nlist))
-    // expected candidate rows contributed by cluster c over the batch
-    val rowsByCluster = Array.tabulate(nlist)(c => probes(c) * listSizes(c))
+    val surv = if (cfg.pruning) survival else SurvivalStats.none(plan.dim)
+    // survivor fraction after the first p slices of a visit order, p = 0..bDim
+    val memo = mutable.HashMap.empty[Seq[Int], Array[Double]]
+    def survAfter(order: Array[Int]): Array[Double] = memo.getOrElseUpdate(order.toSeq,
+      order.scanLeft(0.0)((cum, j) => cum + surv.sliceEnergy(bDim, j)).map(surv.survAtCum))
 
-    val shardRows = new Array[Double](bVec)
-    for (c <- 0 until nlist) shardRows(plan.shardOfCluster(c)) += rowsByCluster(c)
-
-    // per-node compute: the node hosting (shard s, slice j) scans the
-    // candidates that survive to slice j under rotated visit orders
-    val loads = new Array[Double](nNodes)
-    for (s <- 0 until bVec; j <- 0 until bDim) {
-      loads(plan.nodeOf(s, j)) += shardRows(s) * plan.sliceLen(j) * surv.arrivalSurv(bDim, j)
-    }
-    val compMakespan = loads.max * params.dimOpSeconds
-
-    // communication: per (query, shard) batch — one query-chunk
-    // distribution (total bytes independent of bDim, §4.2.2), bDim−1
-    // partial-state hops carrying survivors, one return of k 12-byte hits.
-    var bytes = 0.0
-    var msgs = 0.0
-    for (s <- 0 until bVec) {
-      val pairs = math.min(nQ.toDouble, plan.clustersOfShard(s).map(probes).sum)
-      val rowsPerPair = if (pairs > 0) shardRows(s) / pairs else 0.0
-      bytes += pairs * dim * 4.0
-      msgs += pairs * bDim
-      if (bDim > 1) {
-        val stateRows = (1 until bDim).map(p => rowsPerPair * surv.positionSurv(bDim, p)).sum
-        bytes += pairs * stateRows * StateBytesPerRow
+    val waves = Dataflow.waves(probes, listSizes, plan, cfg)
+    val perNode = Array.fill(waves.length, bDim, nNodes)(NodeLedger())
+    var clientBytes = 0L
+    for ((wave, w) <- waves.zipWithIndex; b <- wave) {
+      val s = survAfter(b.sliceOrder)
+      var rows = b.nRows.toLong
+      var p = 0
+      while (p < bDim && (p == 0 || rows > 0)) {
+        val slice = b.sliceOrder(p)
+        val ledger = perNode(w)(p)(plan.nodeOf(b.shard, slice))
+        Dataflow.countArrival(ledger, p, rows, plan.sliceLen(slice), b.clusters.length)
+        val kept = math.round(b.nRows * s(p + 1))
+        if (p == bDim - 1) {
+          val hitBytes = math.min(cfg.k.toLong, kept) * Dataflow.HitBytes
+          Dataflow.countSend(ledger, hitBytes)
+          clientBytes += hitBytes
+        } else Dataflow.countSend(ledger, kept * Dataflow.StateRowBytes)
+        rows = kept
+        p += 1
       }
-      bytes += pairs * 12.0 * cfg.k
     }
-    val commSec = (bytes / nNodes) * params.byteSeconds + (msgs / nNodes) * params.msgLatencySeconds
-    // non-blocking transfers overlap with compute (§5): only the excess
-    // over the compute critical path surfaces as latency. Plans with
-    // `cfg.pipeline` off are priced as if pipelined too: their single
-    // blocking wave is not modelled yet.
-    val commEffective = math.max(0.0, commSec - compMakespan)
-
-    val imbalanceSec = Sim.stddev(loads) * params.dimOpSeconds
-    // each dimension split adds one pipeline stage per vector-level wave
-    val stageSec = params.stageOverheadSeconds * bDim * cfg.maxWaves
-    val total = compMakespan + commEffective + stageSec + cfg.alpha * imbalanceSec
-    PlanCost(bVec, bDim, compMakespan, commSec, imbalanceSec, total, loads)
+    BatchLedgers(Dataflow.stages(perNode),
+      Dataflow.clientDimOps(probes, plan.nlist, plan.dim, cfg, listSizes(_)), clientBytes)
   }
 
-  /** Choose the best grid for the workload (the paper's planner): every
-    * candidate is the plan `PartitionPlan.forWorkload` lays out, and the
-    * argmin is returned with its cost for deploy to lay out unchanged. */
+  /** The cost of deploying `plan` under `cfg` for a batch whose queries
+    * probe `probes`: its [[predict]]ed ledgers priced as the engine prices
+    * its own, plus `α · I(π)`. */
+  def estimate(
+      plan: PartitionPlan, cfg: HarmonyConfig,
+      listSizes: Array[Int], probes: Array[Array[Int]], survival: SurvivalStats,
+  ): PlanCost = {
+    val report = predict(plan, cfg, listSizes, probes, survival).price(cfg, plan.nNodes, probes.length)
+    val imbalanceSec = report.loadStddev * cfg.costParams.dimOpSeconds
+    PlanCost(plan.bVec, plan.bDim, report, imbalanceSec, report.totalSeconds + cfg.alpha * imbalanceSec)
+  }
+
+  /** Choose the best grid for the workload sample (the paper's planner):
+    * every candidate is the plan `PartitionPlan.forWorkload` lays out for
+    * the sample's probe popularity, and the argmin is returned with its
+    * cost for deploy to lay out unchanged. */
   def choose(
       cfg: HarmonyConfig, dim: Int,
-      listSizes: Array[Int], popularity: Array[Double],
-      nQ: Int, survival: SurvivalStats,
+      listSizes: Array[Int], probes: Array[Array[Int]], survival: SurvivalStats,
   ): (PartitionPlan, PlanCost) = {
     val cands = PartitionPlan.candidateGrids(cfg.nNodes, dim)
     require(cands.nonEmpty, s"no candidate grids for nNodes=${cfg.nNodes} dim=$dim")
+    val popularity = popularityOf(probes.toSeq, listSizes.length)
     cands
       .map { case (bv, bd) =>
         val plan = PartitionPlan.forWorkload(bv, bd, dim, listSizes, popularity, cfg.balancedLoad)
-        (plan, estimate(plan, cfg, listSizes, popularity, nQ, survival))
+        (plan, estimate(plan, cfg, listSizes, probes, survival))
       }
       .minBy { case (_, c) => (c.totalSec, c.bDim) } // prefer fewer dim splits on ties
   }

@@ -1,0 +1,108 @@
+package repro.core
+
+import scala.collection.mutable.ArrayBuffer
+
+import repro.sim.{NodeLedger, Sim, SimReport, StageRecord}
+
+/** One (query, vector shard) batch of a wave: the query's probed clusters
+  * on that shard (ascending), their candidate rows, and the order in which
+  * the batch visits the dimension slices. */
+final case class WaveBatch(qIdx: Int, shard: Int, clusters: Array[Int], nRows: Int, sliceOrder: Array[Int])
+
+/** Everything one search batch counts: one ledger per (wave, position)
+  * stage and node, and the client's routing, prewarm and merge work. */
+final case class BatchLedgers(stages: Seq[StageRecord], clientDimOps: Long, clientBytes: Long) {
+
+  /** The simulated time of these ledgers on the deployed system: overlapped
+    * when `cfg.pipeline`, blocking stages otherwise. The engine prices what
+    * it counted with this, and the planner what it predicts. */
+  def price(cfg: HarmonyConfig, nNodes: Int, nQueries: Int): SimReport =
+    Sim.evaluate(stages, cfg.costParams, overlapComm = cfg.pipeline, nNodes, nQueries,
+      clientDimOps, clientBytes)
+}
+
+/** The search dataflow as both the engine runs it and the planner predicts
+  * it: the wave layout of a batch and the rules every ledger is counted by.
+  * Both call these, so a prediction from a batch's own probe lists with
+  * pruning off equals the engine's count exactly.
+  */
+object Dataflow {
+
+  /** Bytes of one candidate row's state between positions (row index and
+    * partial distance), and of one returned hit. */
+  val StateRowBytes: Long = 12L
+  val HitBytes: Long = 12L
+
+  /** The waves of a batch whose queries probe `probes` (each list ordered
+    * by centroid promise), in the order their batches are placed.
+    *
+    * Vector-level pipeline batching (Fig 5a): each probe list is split into
+    * `maxWaves` chunks (one with `pipeline` off), so completed distances of
+    * earlier waves tighten τ for later ones; within a wave a query's
+    * clusters group into one batch per shard. Empty waves are dropped.
+    *
+    * Slice start offsets (§4.3 load balancing): in dimension order without
+    * balanced load; otherwise each batch, largest first (ties by query,
+    * then shard), starts at the slice whose node has the least first-stage
+    * rows of its wave so far.
+    */
+  def waves(probes: Array[Array[Int]], listSizes: Array[Int], plan: PartitionPlan,
+            cfg: HarmonyConfig): IndexedSeq[IndexedSeq[WaveBatch]] = {
+    import plan.{bDim, nNodes}
+    val effWaves = if (cfg.pipeline) cfg.maxWaves else 1
+    val inOrder = Array.range(0, bDim)
+    val buckets = IndexedSeq.fill(effWaves)(ArrayBuffer.empty[WaveBatch])
+    probes.indices.foreach { qi =>
+      val chunk = math.max(1, (probes(qi).length + effWaves - 1) / effWaves)
+      probes(qi).grouped(chunk).zipWithIndex.foreach { case (cs, w) =>
+        cs.groupBy(plan.shardOfCluster(_)).foreach { case (shard, clusters) =>
+          val sorted = clusters.sorted
+          buckets(w) += WaveBatch(qi, shard, sorted, sorted.map(listSizes(_)).sum, inOrder)
+        }
+      }
+    }
+    buckets.filter(_.nonEmpty).map { wave =>
+      val nodeRows = new Array[Long](nNodes)
+      wave.sortBy(b => (-b.nRows, b.qIdx, b.shard)).map { b =>
+        if (!cfg.balancedLoad || bDim == 1) b
+        else {
+          val off = (0 until bDim).minBy(o => nodeRows(plan.nodeOf(b.shard, o)))
+          nodeRows(plan.nodeOf(b.shard, off)) += b.nRows
+          b.copy(sliceOrder = Array.tabulate(bDim)(i => (off + i) % bDim))
+        }
+      }.toIndexedSeq
+    }
+  }
+
+  /** Client dim-ops of a batch: every query scans all `nlist` centroids,
+    * and with pruning its heap is prewarmed with the first
+    * `min(samples(c), prewarmPerCluster)` vectors of each probed cluster. */
+  def clientDimOps(probes: Array[Array[Int]], nlist: Int, dim: Int, cfg: HarmonyConfig,
+                   samples: Int => Int): Long = {
+    var ops = probes.length.toLong * nlist * dim
+    if (cfg.pruning) probes.foreach(_.foreach(c => ops += math.min(samples(c), cfg.prewarmPerCluster).toLong * dim))
+    ops
+  }
+
+  /** A batch of `rows` candidates arriving at position `pos` on a slice of
+    * `sliceLen` dimensions: one message carrying the query chunk, plus the
+    * cluster id list on the first hop or the rows' state on a later one;
+    * every row is scanned over the whole slice. */
+  def countArrival(l: NodeLedger, pos: Int, rows: Long, sliceLen: Int, nClusters: Int): Unit = {
+    l.bytesIn += (if (pos == 0) nClusters * 4L else rows * StateRowBytes) + sliceLen * 4L
+    l.msgsIn += 1
+    l.dimOps += rows * sliceLen
+  }
+
+  /** A batch leaving a position with `bytes` of surviving rows' state, or
+    * of hits at its last position: one message, none without bytes. */
+  def countSend(l: NodeLedger, bytes: Long): Unit = if (bytes > 0) {
+    l.bytesOut += bytes
+    l.msgsOut += 1
+  }
+
+  /** The stage records of ledgers indexed (wave, position, node), in
+    * execution order. */
+  def stages(perNode: Array[Array[Array[NodeLedger]]]): Seq[StageRecord] =
+    for (w <- perNode.indices; p <- perNode(w).indices) yield StageRecord(w, p, perNode(w)(p))
+}

@@ -9,7 +9,7 @@ import org.apache.spark.sql.SparkSession
 
 import repro.ivf.IVFIndex
 import repro.linalg.{BoundedMaxHeap, Hit, Par, VecOps}
-import repro.sim.{NodeLedger, Sim, SimReport, StageRecord}
+import repro.sim.{NodeLedger, SimReport}
 
 /** In-flight state of one (query, vector-shard) pair: which clusters to
   * scan, the slice visit order, the current pipeline position, the per-row
@@ -117,6 +117,8 @@ final case class DriverPhases(
 final case class EngineResult(
     hits: Array[Array[Hit]],
     report: SimReport,
+    /** what `report` prices */
+    ledgers: BatchLedgers,
     /** candidates alive at the start of pipeline position p (summed over waves) */
     pruneEntering: Array[Long],
     /** candidates pruned while processing position p */
@@ -204,74 +206,32 @@ object Engine {
     val probes = new Array[Array[Int]](nQ)
     Par.foreachChunk(nQ, (lo, hi) =>
       (lo until hi).foreach(qi => probes(qi) = VecOps.nearestN(wide(qi), index.centroids, cfg.nprobe)))
-    var clientOps = nQ.toLong * index.nlist * plan.dim
     val t2 = System.nanoTime()
 
     val heaps = new Array[BoundedMaxHeap](nQ)
-    clientOps += Par.mapChunks(nQ, (lo, hi) => {
-      var ops = 0L
-      var qi = lo
-      while (qi < hi) {
-        heaps(qi) = new BoundedMaxHeap(k)
-        if (pruning) probes(qi).foreach { c =>
-          val ids = store.sampleIds(c)
-          val vecs = store.sampleVecs(c)
-          var j = 0
-          while (j < math.min(ids.length, cfg.prewarmPerCluster)) {
-            heaps(qi).offer(ids(j), VecOps.l2PartialAt(wide(qi), 0, vecs(j), 0, plan.dim))
-            ops += plan.dim
-            j += 1
-          }
+    Par.foreachChunk(nQ, (lo, hi) => (lo until hi).foreach { qi =>
+      heaps(qi) = new BoundedMaxHeap(k)
+      if (pruning) probes(qi).foreach { c =>
+        val ids = store.sampleIds(c)
+        val vecs = store.sampleVecs(c)
+        (0 until math.min(ids.length, cfg.prewarmPerCluster)).foreach { j =>
+          heaps(qi).offer(ids(j), VecOps.l2PartialAt(wide(qi), 0, vecs(j), 0, plan.dim))
         }
-        qi += 1
       }
-      ops
-    }).sum
+    })
+    val clientOps = Dataflow.clientDimOps(probes, index.nlist, plan.dim, cfg, store.sampleIds(_).length)
     val t3 = System.nanoTime()
 
-    // ---- vector-level pipeline batching (Fig 5a): each query's probed
-    // clusters, already ordered by centroid promise, are split into
-    // `effWaves` chunks; completed distances of earlier waves tighten τ for
-    // later ones. Within a wave, clusters group into per-shard batches.
-    final case class Pair(qIdx: Int, shard: Int, clusters: Array[Int], nRows: Int)
-    val effWaves = if (cfg.pipeline) cfg.maxWaves else 1
-    val waves: IndexedSeq[Seq[Pair]] = {
-      val buckets = IndexedSeq.fill(effWaves)(ArrayBuffer.empty[Pair])
-      (0 until nQ).foreach { qi =>
-        val ps = probes(qi)
-        val chunk = math.max(1, (ps.length + effWaves - 1) / effWaves)
-        ps.grouped(chunk).zipWithIndex.foreach { case (cs, w) =>
-          cs.groupBy(plan.shardOfCluster(_)).foreach { case (shard, clusters) =>
-            val sorted = clusters.sorted
-            buckets(math.min(w, effWaves - 1)) +=
-              Pair(qi, shard, sorted, sorted.map(index.listSize).sum)
-          }
-        }
-      }
-      buckets.map(_.toSeq).filter(_.nonEmpty)
-    }
-    val nWaves = waves.length
-
     // every wave's inputs, placed straight onto the node holding each
-    // batch's first block. Slice start offsets (§4.3 load balancing): in
-    // dimension order without balanced load, otherwise each batch, largest
-    // first, starts at the slice whose node has the least first-stage load
-    // of its wave so far
+    // batch's first block
+    val waves = Dataflow.waves(probes, index.listSizes, plan, cfg)
+    val nWaves = waves.length
     val inputs: IndexedSeq[Seq[Array[(Int, StageOut)]]] = waves.map { wave =>
-      val nodeLoad = new Array[Long](nNodes)
       val byNode = Array.fill(nNodes)(ArrayBuffer.empty[(Int, StageOut)])
-      wave.sortBy(p => (-p.nRows, p.qIdx, p.shard)).foreach { p =>
-        val off =
-          if (!cfg.balancedLoad || bDim == 1) 0
-          else {
-            val best = (0 until bDim).minBy(o => nodeLoad(plan.nodeOf(p.shard, o)))
-            nodeLoad(plan.nodeOf(p.shard, best)) += p.nRows
-            best
-          }
-        val order = Array.tabulate(bDim)(i => (off + i) % bDim)
-        val b = CandBatch(p.qIdx, p.shard, order, 0, p.clusters,
+      wave.foreach { wb =>
+        val b = CandBatch(wb.qIdx, wb.shard, wb.sliceOrder, 0, wb.clusters,
           rows = Array.emptyIntArray, partial = Array.emptyDoubleArray, bound = Double.NaN)
-        val bid = plan.blockId(p.shard, order(0))
+        val bid = plan.blockId(wb.shard, wb.sliceOrder(0))
         byNode(plan.nodeOfBlock(bid)) += ((bid, SurvivorOut(b)))
       }
       byNode.toSeq.map(_.toArray)
@@ -315,7 +275,6 @@ object Engine {
       case (_, h: HitsOut) => hitsOf(h.wave) += h
       case (_, o) => throw new IllegalStateException(s"$o reached the batch's collect")
     }
-    val stages = ArrayBuffer.empty[StageRecord]
     var clientBytes = 0L
     (0 until nWaves).foreach { w =>
       val expected = boundsChecksum(heaps.map(h => pruneBound(h.threshold, pruning)))
@@ -325,22 +284,20 @@ object Engine {
       }
       hitsOf(w).sortBy(_.node).foreach { h =>
         h.hits.offerInto(heaps)
-        clientBytes += h.hits.size.toLong * 12L
+        clientBytes += h.hits.size * Dataflow.HitBytes
       }
-      (0 until bDim).foreach(p => stages += StageRecord(stages.size, p, perNode(w)(p)))
     }
-
-    val report = Sim.evaluate(stages.toSeq, cfg.costParams, overlapComm = cfg.pipeline,
-      nNodes, nQ, clientOps, clientBytes)
+    val ledgers = BatchLedgers(Dataflow.stages(perNode), clientOps, clientBytes)
+    val report = ledgers.price(cfg, nNodes, nQ)
 
     val peaks = new Array[Long](nNodes)
-    stages.foreach(st => (0 until nNodes).foreach { n =>
+    ledgers.stages.foreach(st => (0 until nNodes).foreach { n =>
       if (st.perNode(n).bytesIn > peaks(n)) peaks(n) = st.perNode(n).bytesIn
     })
 
     val hits = heaps.map(_.toSortedArray)
     val t6 = System.nanoTime()
-    EngineResult(hits, report, enteringByPos, prunedByPos, executedByPos, peaks,
+    EngineResult(hits, report, ledgers, enteringByPos, prunedByPos, executedByPos, peaks,
       DriverPhases(t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t6 - t5))
   }
 
@@ -491,14 +448,7 @@ object Engine {
       val q = queries(b.qIdx)
       val bound = b.bound
 
-      // comm in: first hop carries the query chunk + cluster id list;
-      // later hops carry the partial state + the query chunk.
-      if (b.pos == 0) {
-        ledger.bytesIn += block.sliceLen * 4L + b.clusters.length * 4L
-      } else {
-        ledger.bytesIn += b.rows.length * 12L + block.sliceLen * 4L
-      }
-      ledger.msgsIn += 1
+      Dataflow.countArrival(ledger, b.pos, b.rows.length, block.sliceLen, b.clusters.length)
       entering += b.rows.length
 
       val sliceLen = block.sliceLen
@@ -534,13 +484,11 @@ object Engine {
         }
         i += 1
       }
-      ledger.dimOps += nRows.toLong * sliceLen
 
       if (last) {
         if (heap != null) {
           val hits = heap.toSortedArray
-          ledger.bytesOut += hits.length.toLong * 12L
-          ledger.msgsOut += 1
+          Dataflow.countSend(ledger, hits.length * Dataflow.HitBytes)
           completed.add(b.qIdx, hits)
         }
       } else if (kept > 0) {
@@ -548,8 +496,7 @@ object Engine {
           pos = b.pos + 1,
           rows = java.util.Arrays.copyOf(rows, kept),
           partial = java.util.Arrays.copyOf(parts, kept))
-        ledger.bytesOut += kept.toLong * 12L
-        ledger.msgsOut += 1
+        Dataflow.countSend(ledger, kept * Dataflow.StateRowBytes)
         outs += SurvivorOut(survivor)
       }
     }

@@ -29,8 +29,8 @@ final case class HarmonyConfig(
     nprobe: Int = 16,
     pruning: Boolean = true,
     /** vector-level waves tightening τ², simulated with overlapped comm;
-      * off → one wave, simulated as blocking stages (the planner prices
-      * both as overlapped) */
+      * off → one wave, simulated as blocking stages (the engine and the
+      * planner price both the same way) */
     pipeline: Boolean = true,
     /** load-aware placement + slice rotation; off → naive cluster placement,
       * slices visited in dimension order */
@@ -89,7 +89,8 @@ object Harmony {
     * popularity estimated from `workloadSample` — the "anticipated workload"
     * of the paper's query-load distribution step. The grid is fixed per mode
     * for the two baselines; for `Mode.Harmony` the cost model (§4.2) scores
-    * each candidate plan and the one it returns is deployed unchanged.
+    * each candidate plan on the sample's probe lists and the one it returns
+    * is deployed unchanged.
     */
   def deploy(
       spark: SparkSession,
@@ -110,8 +111,7 @@ object Harmony {
       case Mode.HarmonyDimension => (fixed(1, cfg.nNodes), None)
       case Mode.Harmony =>
         val survival = CostModel.SurvivalStats.fromData(index, workloadSample, k = cfg.k)
-        val (p, c) = CostModel.choose(cfg, dim, listSizes, popularity,
-          nQ = math.max(1, workloadSample.length), survival = survival)
+        val (p, c) = CostModel.choose(cfg, dim, listSizes, probes, survival)
         (p, Some(c))
     }
     val store = BlockStore.build(spark, index, plan, samplePerCluster = cfg.prewarmPerCluster)

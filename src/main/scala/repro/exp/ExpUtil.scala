@@ -18,8 +18,6 @@ object ExpUtil {
   def f2(x: Double): String = f"$x%.2f"
   def f1(x: Double): String = f"$x%.1f"
 
-  def mb(bytes: Long): String = f"${bytes / 1024.0 / 1024.0}%.1fMB"
-
   /** Human-readable byte size matching the paper's MB/GB units. */
   def human(bytes: Long): String = {
     val kb = 1024.0; val mb = kb * 1024; val gb = mb * 1024

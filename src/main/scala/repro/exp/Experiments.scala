@@ -33,8 +33,6 @@ object Experiments {
       (ds, idx, times)
     })
 
-  def clearCaches(): Unit = { indexCache.clear(); Datasets.clearCache(); Recall.clearCache() }
-
   /** Skewed workload engineered against the vector-partition placement
     * (§6.2.2: "query sets are manipulated to ensure different load
     * differences on each machine"). With probability `level` a query is a

@@ -32,7 +32,6 @@ final class BoundedMaxHeap(val k: Int) {
   def threshold: Double = if (heap.size < k) Double.PositiveInfinity else heap.head.dist
 
   def size: Int = heap.size
-  def isFull: Boolean = heap.size >= k
 
   /** Offer a candidate; returns true if it entered (or improved) the heap. */
   def offer(id: Long, dist: Double): Boolean = {

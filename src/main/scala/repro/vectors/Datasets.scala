@@ -83,8 +83,6 @@ object Datasets {
   def load(cfg: GenConfig): VectorDataset =
     cache.getOrElseUpdate(cfg.name + "#" + cfg.hashCode, VectorGen.generate(cfg))
 
-  def load(name: String): VectorDataset = load(byName(name))
-
   /** Drop memoized datasets (tests that measure memory call this). */
   def clearCache(): Unit = cache.clear()
 }

@@ -29,7 +29,12 @@ object TestFixtures {
   val midCfg: GenConfig =
     smallCfg.copy(name = "test-mid", decayRate = 0.8, radiusSpread = 0.9, seed = 10)
 
+  /** Four dimensions: on a 1×4 grid every slice is one dimension wide. */
+  val dim4Cfg: GenConfig =
+    smallCfg.copy(name = "test-dim4", n = 2000, dim = 4, seed = 11)
+
   lazy val small: VectorDataset = VectorGen.generate(smallCfg)
+  lazy val dim4: VectorDataset = VectorGen.generate(dim4Cfg)
   lazy val flat: VectorDataset = VectorGen.generate(flatCfg)
   lazy val decay: VectorDataset = VectorGen.generate(decayCfg)
   lazy val mid: VectorDataset = VectorGen.generate(midCfg)
@@ -41,6 +46,16 @@ object TestFixtures {
   def index(spark: SparkSession, ds: VectorDataset): (IVFIndex, BuildTimes) =
     idxCache.getOrElseUpdate(ds.config.name,
       IVFIndex.build(spark, ds, testNlist, seed = ds.config.seed))
+
+  /** `small`'s index with an empty twin of every cluster appended: twin
+    * `c + nlist` has `c`'s centroid and no rows, so every probe list
+    * alternates a cluster and its empty twin (ties go to the lower id). */
+  def withEmptyTwins(spark: SparkSession): IVFIndex = {
+    val (idx, _) = index(spark, small)
+    new IVFIndex(idx.dim, idx.centroids ++ idx.centroids.map(_.clone()),
+      idx.listIds ++ Array.fill(idx.nlist)(Array.emptyLongArray),
+      idx.listData ++ Array.fill(idx.nlist)(Array.emptyFloatArray))
+  }
 
   /** `small`'s index laid out on a `bVec × bDim` plan with storage-balanced
     * placement, independent of the planner; the caller unpersists the store. */

@@ -2,6 +2,7 @@ package repro.core
 
 import repro.{SparkSpec, TestFixtures => F}
 import repro.baselines.Faiss
+import repro.ivf.IVFIndex
 import repro.linalg.Hit
 import repro.sim.CostParams
 
@@ -157,6 +158,30 @@ class EngineSpec extends SparkSpec {
       assert(want.forall(_.length < bigK))
       assertSameTopK(sys.search(F.small.queries).hits, want)
     } finally sys.shutdown()
+  }
+
+  /** Every candidate grid of 4 nodes, pruning on and off, returns the
+    * `IVFIndex.search` hits of `queries`. */
+  private def assertSearchesLikeIndex(idx: IVFIndex, queries: Array[Array[Float]]): Unit =
+    for ((bv, bd) <- PartitionPlan.candidateGrids(4, idx.dim); pruning <- Seq(true, false)) {
+      val plan = PartitionPlan.build(bv, bd, idx.dim, idx.listSizes.map(_.toDouble), balanced = true)
+      val store = BlockStore.build(spark, idx, plan)
+      try withClue(s"${bv}x$bd pruning=$pruning: ") {
+        val cfg = HarmonyConfig(nNodes = 4, k = k, nprobe = nprobe, pruning = pruning)
+        assertSameTopK(Engine.search(spark, store, idx, queries, cfg).hits,
+          queries.map(idx.search(_, k, nprobe)._1))
+      } finally store.unpersist()
+    }
+
+  test("an index with empty clusters returns the IVFIndex.search hits on every grid") {
+    // every other cluster of every probe list is an empty twin
+    assertSearchesLikeIndex(F.withEmptyTwins(spark), F.small.queries)
+  }
+
+  test("one dimension per slice (bDim == dim) returns the IVFIndex.search hits on every grid") {
+    val (idx, _) = F.index(spark, F.dim4)
+    assert(PartitionPlan.candidateGrids(4, idx.dim).contains((1, 4)))
+    assertSearchesLikeIndex(idx, F.dim4.queries)
   }
 
   // ---- pruning ledger -----------------------------------------------

@@ -30,8 +30,4 @@ class ExpUtilSpec extends AnyFunSuite {
     assert(ExpUtil.human(128L * 1024 * 1024) == "128.0MB")
     assert(ExpUtil.human(3L * 1024 * 1024 * 1024 + 200L * 1024 * 1024) == "3.20GB")
   }
-
-  test("mb formats megabytes") {
-    assert(ExpUtil.mb(10L * 1024 * 1024) == "10.0MB")
-  }
 }
