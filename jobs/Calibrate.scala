@@ -15,7 +15,7 @@ object Calibrate {
     val ds = VectorGen.generate(cfg)
     val nlist = Experiments.nlistFor(cfg.n)
     val km = repro.ivf.KMeans.fit(ds.data, nlist, maxIter = 8, seed = cfg.seed)
-    val assign = repro.ivf.KMeans.assignAll(ds.data, km.centroids)
+    val assign = repro.ivf.KMeans.assignAll(ds.data, km.centroids).clusters
     val lists = Array.fill(nlist)(scala.collection.mutable.ArrayBuffer.empty[Int])
     assign.zipWithIndex.foreach { case (c, i) => lists(c) += i }
     var lo = 0L; var mid = 0L; var hi = 0L; var total = 0L

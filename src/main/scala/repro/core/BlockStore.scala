@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.storage.StorageLevel
 
 import repro.ivf.IVFIndex
 
@@ -57,8 +56,9 @@ final case class BlockData(
 }
 
 /** Distributed base-vector store for a partition plan: an
-  * `RDD[(blockId, BlockData)]` partitioned by [[NodePartitioner]] so each
-  * simulated node materializes exactly its blocks, plus client-side routing
+  * `RDD[(blockId, BlockData)]` with one partition per node, holding the
+  * blocks `plan.nodeOfBlock` places there, so each simulated node
+  * materializes exactly its blocks, plus client-side routing
   * state (centroids come from the IVF index; a small per-cluster sample
   * feeds the prewarm heap).
   */
@@ -146,11 +146,15 @@ object BlockStore {
         (plan.blockId(shard, slice), BlockData(shard, slice, lo, len, data))
       }
 
+    // one slice per node places every block on its node without a shuffle;
+    // the local checkpoint cuts the lineage, so the driver's copy is freed
+    // once the blocks are stored
     val sc = spark.sparkContext
     val blocks = sc
-      .parallelize(blockSeq, plan.nNodes)
-      .partitionBy(plan.partitioner)
-      .persist(StorageLevel.MEMORY_ONLY)
+      .parallelize((0 until plan.nNodes).map(n =>
+        blockSeq.filter { case (bid, _) => plan.nodeOfBlock(bid) == n }.toArray), plan.nNodes)
+      .flatMap(_.iterator)
+      .localCheckpoint()
     blocks.count() // materialize: placement is part of pre-assign time
 
     val bcLayouts = sc.broadcast(layouts)

@@ -91,11 +91,12 @@ object IVFIndex {
     val bc = sc.broadcast(km.centroids)
     // cluster of each row, by row position (collect keeps the input order),
     // so ids need not be 0..n-1
-    val clusterOf: Array[Int] = sc
-      .parallelize(ds.data.toSeq, math.min(64, math.max(1, ds.n / 2000)))
-      .map(v => VecOps.nearest(v, bc.value))
-      .collect()
-    bc.destroy()
+    val clusterOf: Array[Int] =
+      try sc
+        .parallelize(ds.data.toSeq, math.min(64, math.max(1, ds.n / 2000)))
+        .map(v => VecOps.nearest(v, bc.value))
+        .collect()
+      finally bc.destroy()
     val t2 = System.nanoTime()
 
     val k = km.centroids.length

@@ -33,19 +33,21 @@ object KMeans {
     var iter = 0
     var inertia = Double.MaxValue
     var converged = false
+    var assign: Option[Array[Int]] = None
     while (iter < maxIter && !converged) {
-      val assign = assignAll(sample, centroids)
+      // each point's last cluster is a good first guess: its distance bounds the scan
+      val a = assignAll(sample, centroids, assign)
       val sums = Array.ofDim[Double](kk, dim)
       val counts = new Array[Long](kk)
       var newInertia = 0.0
       var i = 0
       while (i < sample.length) {
-        val c = assign(i)
+        val c = a.clusters(i)
         val v = sample(i)
         var j = 0
         while (j < dim) { sums(c)(j) += v(j); j += 1 }
         counts(c) += 1
-        newInertia += VecOps.l2(v, centroids(c))
+        newInertia += a.dists(i)
         i += 1
       }
       val next = Array.tabulate(kk) { c =>
@@ -55,19 +57,55 @@ object KMeans {
       converged = math.abs(inertia - newInertia) < 1e-6 * math.max(1.0, inertia)
       inertia = newInertia
       centroids = next
+      assign = Some(a.clusters)
       iter += 1
     }
     Result(centroids, iter, inertia)
   }
 
-  /** Assign every vector to its nearest centroid (parallel over points). */
-  def assignAll(data: Array[Array[Float]], centroids: Array[Array[Float]]): Array[Int] = {
-    val out = new Array[Int](data.length)
+  /** Each point's nearest centroid and the squared distance to it. */
+  final case class Assignment(clusters: Array[Int], dists: Array[Double])
+
+  /** Assign every vector to its nearest centroid (parallel over points),
+    * measuring `guess(i)`, if given, first for point `i`. The guess only
+    * tightens the scan's bound: the result is the same with any guess or
+    * none ([[VecOps.nearest]]), and each distance is the full one.
+    */
+  def assignAll(data: Array[Array[Float]], centroids: Array[Array[Float]],
+                guess: Option[Array[Int]] = None): Assignment = {
+    val clusters = new Array[Int](data.length)
+    val dists = new Array[Double](data.length)
     Par.foreachChunk(data.length, (lo, hi) => {
       var i = lo
-      while (i < hi) { out(i) = VecOps.nearest(data(i), centroids); i += 1 }
+      while (i < hi) {
+        val g = guess.fold(-1)(_(i))
+        clusters(i) = VecOps.nearest(VecOps.widen(data(i)), centroids, g, dists, i)
+        i += 1
+      }
     })
-    out
+    Assignment(clusters, dists)
+  }
+
+  /** Lower each `minD(i)` to the squared distance from `data(i)` to
+    * `newest` where that is smaller. A point's distance is abandoned once
+    * its running partial exceeds `minD(i)` ([[VecOps.l2PartialBounded]]),
+    * which can then not be lowered; one that is not abandoned is summed in
+    * full, so `minD` ends bit-identical to the unbounded update. `newest` is
+    * widened once; `(a - b)²` and `(b - a)²` have the same bits.
+    */
+  private[ivf] def lowerMinD(data: Array[Array[Float]], newest: Array[Float],
+                             minD: Array[Double]): Unit = {
+    val w = VecOps.widen(newest)
+    Par.foreachChunk(data.length, (lo, hi) => {
+      val d = new Array[Double](1)
+      var i = lo
+      while (i < hi) {
+        require(data(i).length == w.length, s"dim mismatch: ${w.length} vs ${data(i).length}")
+        VecOps.l2PartialBounded(w, 0, data(i), 0, w.length, 0.0, minD(i), d, 0)
+        if (d(0) < minD(i)) minD(i) = d(0)
+        i += 1
+      }
+    })
   }
 
   /** k-means++ seeding, deterministic in the seed. */
@@ -78,15 +116,7 @@ object KMeans {
     val minD = Array.fill(data.length)(Double.MaxValue)
     var c = 1
     while (c < k) {
-      val prev = centroids(c - 1)
-      Par.foreachChunk(data.length, (lo, hi) => {
-        var i = lo
-        while (i < hi) {
-          val d = VecOps.l2(data(i), prev)
-          if (d < minD(i)) minD(i) = d
-          i += 1
-        }
-      })
+      lowerMinD(data, centroids(c - 1), minD)
       val total = minD.sum
       val target = rnd.nextDouble() * total
       var acc = 0.0

@@ -219,15 +219,42 @@ object VecOps {
   }
 
   /** Index of the centroid nearest to `q` (squared L2); ties → lowest index. */
-  def nearest(q: Array[Float], centroids: Array[Array[Float]]): Int = {
+  def nearest(q: Array[Float], centroids: Array[Array[Float]]): Int =
+    nearest(widen(q), centroids, -1, new Array[Double](1), 0)
+
+  /** [[nearest]] for a query already widened to `Double`, abandoning every
+    * centroid whose running partial exceeds the best distance so far
+    * ([[l2PartialBounded]] with that distance as the bound). The winner's
+    * distance is written to `dist(distIdx)`, which also serves as scratch.
+    *
+    * A `guess` in `[0, centroids.length)` is measured first, so a good guess
+    * gives a tight bound from the start; `-1` means none. A centroid replaces
+    * the best so far when its distance is lower, or equal with a lower index,
+    * and an abandoned partial is strictly above the bound, so the result is
+    * the lowest index among the minimal distances whatever the guess, and the
+    * written distance is summed in full, in dimension order. As in the
+    * unbounded scan, a distance must be below `Double.MaxValue` to win;
+    * otherwise the result is 0 with distance `Double.MaxValue`.
+    */
+  def nearest(q: Array[Double], centroids: Array[Array[Float]], guess: Int,
+              dist: Array[Double], distIdx: Int): Int = {
+    require(centroids.forall(_.length == q.length), s"dim mismatch: query has ${q.length}")
     var best = 0
     var bestD = Double.MaxValue
+    if (guess >= 0 && guess < centroids.length) {
+      val d = l2PartialAt(q, 0, centroids(guess), 0, q.length)
+      if (d < bestD) { bestD = d; best = guess }
+    }
     var c = 0
     while (c < centroids.length) {
-      val d = l2(q, centroids(c))
-      if (d < bestD) { bestD = d; best = c }
+      if (c != guess) {
+        l2PartialBounded(q, 0, centroids(c), 0, q.length, 0.0, bestD, dist, distIdx)
+        val d = dist(distIdx)
+        if (d < bestD || (d == bestD && c < best)) { bestD = d; best = c }
+      }
       c += 1
     }
+    dist(distIdx) = bestD
     best
   }
 

@@ -1,5 +1,9 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.{Seconds, Span}
+
 import repro.{SparkSpec, TestFixtures => F}
 
 class BlockStoreSpec extends SparkSpec {
@@ -22,6 +26,26 @@ class BlockStoreSpec extends SparkSpec {
       placed.foreach { case (node, bid) => assert(st.plan.nodeOfBlock(bid) == node) }
       assert(placed.length == 4) // one block per node in the grid layout
     } finally st.unpersist()
+  }
+
+  test("placed blocks keep no shuffle and no driver copy in their lineage") {
+    val st = store(2, 2)
+    try {
+      def lineage(rdd: RDD[_]): Seq[RDD[_]] = rdd +: rdd.dependencies.flatMap(d => lineage(d.rdd))
+      assert(st.blocks.isCheckpointed)
+      val kinds = lineage(st.blocks).map(_.getClass.getSimpleName)
+      assert(!kinds.exists(k => k.contains("Shuffled") || k.contains("ParallelCollection")), kinds)
+    } finally st.unpersist()
+  }
+
+  test("unpersist frees the stored blocks") {
+    val st = store(2, 2)
+    val sc = spark.sparkContext
+    def stored: Boolean = sc.getRDDStorageInfo.exists(i => i.id == st.blocks.id && i.numCachedPartitions > 0)
+    assert(stored)
+    st.unpersist()
+    assert(!sc.getPersistentRDDs.contains(st.blocks.id))
+    eventually(timeout(Span(10, Seconds)))(assert(!stored))
   }
 
   test("shard layouts cover all clusters disjointly") {

@@ -249,6 +249,50 @@ class VecOpsSpec extends AnyFunSuite {
     assert(VecOps.nearest(Array(0f, 0f), cents) == 0)
   }
 
+  /** The unbounded definition `nearest` must reproduce: the lowest index
+    * among the minimal full distances, and that distance. */
+  private def nearestByScan(q: Array[Float], cents: Array[Array[Float]]): (Int, Double) = {
+    val ds = cents.map(c => VecOps.l2PartialAt(q, 0, c, 0, q.length))
+    val best = ds.indices.minBy(c => (ds(c), c))
+    (best, ds(best))
+  }
+
+  test("nearest equals the full scan with every guess, also with exact ties") {
+    val r = new Random(4242)
+    for (trial <- 0 until 120) {
+      // dimension counts on both sides of the bound checks, with and without a tail
+      val dim = Seq(1 + r.nextInt(31), 33 + r.nextInt(31), 64, 65 + r.nextInt(100))(trial % 4)
+      val base = Array.fill(2 + r.nextInt(30))(randVec(dim, r.nextLong()))
+      val q = if (trial % 5 == 0) base(r.nextInt(base.length)).clone() else randVec(dim, r.nextLong())
+      // copies of the nearest centroid and of others, at random positions
+      val (near, _) = nearestByScan(q, base)
+      val copies = Array.fill(1 + r.nextInt(4))(base(near).clone()) ++
+        Array.fill(r.nextInt(4))(base(r.nextInt(base.length)).clone())
+      val cents = new scala.util.Random(r.nextLong()).shuffle((base ++ copies).toSeq).toArray
+      val (want, wantD) = nearestByScan(q, cents)
+      assert(cents.count(c => VecOps.l2(q, c) == wantD) >= 2, s"trial $trial: no tie")
+      assert(VecOps.nearest(q, cents) == want, s"trial $trial: no guess")
+      val wq = VecOps.widen(q)
+      val dist = Array.fill(3)(-1.0)
+      for (guess <- -1 until cents.length) {
+        assert(VecOps.nearest(wq, cents, guess, dist, 1) == want, s"trial $trial: guess $guess")
+        assert(bits(dist(1)) == bits(wantD), s"trial $trial: guess $guess distance")
+        assert(dist(0) == -1.0 && dist(2) == -1.0)
+      }
+    }
+  }
+
+  test("nearest returns 0 when no distance is below Double.MaxValue, whatever the guess") {
+    val cents = Array.fill(5)(randVec(40, 6))
+    val q = Array.fill(40)(Float.NaN)
+    val dist = new Array[Double](1)
+    for (guess <- -1 until cents.length) {
+      assert(VecOps.nearest(VecOps.widen(q), cents, guess, dist, 0) == 0)
+      assert(dist(0) == Double.MaxValue)
+    }
+    assert(VecOps.nearest(q, cents) == 0)
+  }
+
   test("nearestN returns ascending-distance prefix") {
     val cents = Array.tabulate(8)(i => Array(i.toFloat, 0f))
     val got = VecOps.nearestN(Array(2.2f, 0f), cents, 3)
