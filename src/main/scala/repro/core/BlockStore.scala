@@ -58,18 +58,14 @@ final case class BlockData(
 /** Distributed base-vector store for a partition plan: an
   * `RDD[(blockId, BlockData)]` with one partition per node, holding the
   * blocks `plan.nodeOfBlock` places there, so each simulated node
-  * materializes exactly its blocks, plus client-side routing
-  * state (centroids come from the IVF index; a small per-cluster sample
-  * feeds the prewarm heap).
+  * materializes exactly its blocks. Client-side routing and prewarm read
+  * the IVF index itself.
   */
 final class BlockStore(
     val plan: PartitionPlan,
     val layouts: Array[ShardLayout],
     val blocks: RDD[(Int, BlockData)],
     val bcLayouts: Broadcast[Array[ShardLayout]],
-    /** per-cluster prewarm sample: ids and full-dimension vectors */
-    val sampleIds: Array[Array[Long]],
-    val sampleVecs: Array[Array[Array[Float]]],
     val preAssignMs: Long,
 ) extends Serializable {
 
@@ -93,8 +89,6 @@ final class BlockStore(
   }
 
   def maxNodeStorageBytes: Long = perNodeStorageBytes.max
-  def totalPayloadBytes: Long =
-    layouts.map(l => l.nRows.toLong * plan.dim * 4L).sum
 
   def unpersist(): Unit = {
     blocks.unpersist(blocking = false)
@@ -107,8 +101,7 @@ object BlockStore {
   /** Lay the IVF index out on the simulated cluster per `plan` (the paper's
     * Pre-assign build stage, timed).
     */
-  def build(spark: SparkSession, index: IVFIndex, plan: PartitionPlan,
-            samplePerCluster: Int = 4): BlockStore = {
+  def build(spark: SparkSession, index: IVFIndex, plan: PartitionPlan): BlockStore = {
     require(plan.nlist == index.nlist, s"plan has ${plan.nlist} clusters, index ${index.nlist}")
     val t0 = System.nanoTime()
     val dim = index.dim
@@ -159,19 +152,7 @@ object BlockStore {
 
     val bcLayouts = sc.broadcast(layouts)
 
-    // deterministic per-cluster prewarm sample (first rows of each list)
-    val sampleIds = Array.tabulate(index.nlist)(c =>
-      index.listIds(c).take(samplePerCluster))
-    val sampleVecs = Array.tabulate(index.nlist) { c =>
-      val m = math.min(samplePerCluster, index.listSize(c))
-      Array.tabulate(m) { r =>
-        val v = new Array[Float](dim)
-        System.arraycopy(index.listData(c), r * dim, v, 0, dim)
-        v
-      }
-    }
-
     val preAssignMs = (System.nanoTime() - t0) / 1000000L
-    new BlockStore(plan, layouts, blocks, bcLayouts, sampleIds, sampleVecs, preAssignMs)
+    new BlockStore(plan, layouts, blocks, bcLayouts, preAssignMs)
   }
 }

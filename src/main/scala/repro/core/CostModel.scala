@@ -142,13 +142,12 @@ object CostModel {
   }
 
   /** The ledgers the engine would count searching a batch whose queries
-    * probe `probes` on `plan` under `cfg`, for a store whose prewarm sample
-    * holds `cfg.prewarmPerCluster` vectors per cluster (as deploy builds it).
-    * Waves, slice orders and every count follow [[Dataflow]]; a batch of
-    * `nRows` candidates enters position `p` with
-    * `nRows × survAtCum(mass of the slices it visited before p)` rows,
-    * rounded, and returns `min(k, survivors)` hits. With pruning off every
-    * row survives and the prediction is the engine's count exactly.
+    * probe `probes` on `plan` under `cfg`. Waves, slice orders and every
+    * count follow [[Dataflow]]; a batch of `nRows` candidates enters
+    * position `p` with `nRows × survAtCum(mass of the slices it visited
+    * before p)` rows, rounded, and returns `min(k, survivors)` hits. With
+    * pruning off every row survives and the prediction is the engine's
+    * count exactly.
     *
     * @param listSizes rows per cluster
     * @param probes    each sample query's probe list, ordered by centroid
@@ -179,17 +178,13 @@ object CostModel {
         val ledger = perNode(w)(p)(plan.nodeOf(b.shard, slice))
         Dataflow.countArrival(ledger, p, rows, plan.sliceLen(slice), b.clusters.length)
         val kept = math.round(b.nRows * s(p + 1))
-        if (p == bDim - 1) {
-          val hitBytes = math.min(cfg.k.toLong, kept) * Dataflow.HitBytes
-          Dataflow.countSend(ledger, hitBytes)
-          clientBytes += hitBytes
-        } else Dataflow.countSend(ledger, kept * Dataflow.StateRowBytes)
+        if (p == bDim - 1) clientBytes += math.min(cfg.k.toLong, kept) * Dataflow.HitBytes
         rows = kept
         p += 1
       }
     }
     BatchLedgers(Dataflow.stages(perNode),
-      Dataflow.clientDimOps(probes, plan.nlist, plan.dim, cfg, listSizes(_)), clientBytes)
+      Dataflow.clientDimOps(probes, listSizes, plan.dim, cfg), clientBytes)
   }
 
   /** The cost of deploying `plan` under `cfg` for a batch whose queries

@@ -74,13 +74,14 @@ object Dataflow {
     }
   }
 
-  /** Client dim-ops of a batch: every query scans all `nlist` centroids,
-    * and with pruning its heap is prewarmed with the first
-    * `min(samples(c), prewarmPerCluster)` vectors of each probed cluster. */
-  def clientDimOps(probes: Array[Array[Int]], nlist: Int, dim: Int, cfg: HarmonyConfig,
-                   samples: Int => Int): Long = {
-    var ops = probes.length.toLong * nlist * dim
-    if (cfg.pruning) probes.foreach(_.foreach(c => ops += math.min(samples(c), cfg.prewarmPerCluster).toLong * dim))
+  /** Client dim-ops of a batch: every query scans all centroids (one per
+    * entry of `listSizes`), and with pruning its heap is prewarmed with the
+    * first `min(listSizes(c), prewarmPerCluster)` rows of each probed
+    * cluster. */
+  def clientDimOps(probes: Array[Array[Int]], listSizes: Array[Int], dim: Int,
+                   cfg: HarmonyConfig): Long = {
+    var ops = probes.length.toLong * listSizes.length * dim
+    if (cfg.pruning) probes.foreach(_.foreach(c => ops += math.min(listSizes(c), cfg.prewarmPerCluster).toLong * dim))
     ops
   }
 
@@ -92,13 +93,6 @@ object Dataflow {
     l.bytesIn += (if (pos == 0) nClusters * 4L else rows * StateRowBytes) + sliceLen * 4L
     l.msgsIn += 1
     l.dimOps += rows * sliceLen
-  }
-
-  /** A batch leaving a position with `bytes` of surviving rows' state, or
-    * of hits at its last position: one message, none without bytes. */
-  def countSend(l: NodeLedger, bytes: Long): Unit = if (bytes > 0) {
-    l.bytesOut += bytes
-    l.msgsOut += 1
   }
 
   /** The stage records of ledgers indexed (wave, position, node), in

@@ -212,14 +212,13 @@ object Engine {
     Par.foreachChunk(nQ, (lo, hi) => (lo until hi).foreach { qi =>
       heaps(qi) = new BoundedMaxHeap(k)
       if (pruning) probes(qi).foreach { c =>
-        val ids = store.sampleIds(c)
-        val vecs = store.sampleVecs(c)
-        (0 until math.min(ids.length, cfg.prewarmPerCluster)).foreach { j =>
-          heaps(qi).offer(ids(j), VecOps.l2PartialAt(wide(qi), 0, vecs(j), 0, plan.dim))
+        (0 until math.min(index.listSize(c), cfg.prewarmPerCluster)).foreach { j =>
+          heaps(qi).offer(index.listIds(c)(j),
+            VecOps.l2PartialAt(wide(qi), 0, index.listData(c), j * plan.dim, plan.dim))
         }
       }
     })
-    val clientOps = Dataflow.clientDimOps(probes, index.nlist, plan.dim, cfg, store.sampleIds(_).length)
+    val clientOps = Dataflow.clientDimOps(probes, index.listSizes, plan.dim, cfg)
     val t3 = System.nanoTime()
 
     // every wave's inputs, placed straight onto the node holding each
@@ -486,18 +485,12 @@ object Engine {
       }
 
       if (last) {
-        if (heap != null) {
-          val hits = heap.toSortedArray
-          Dataflow.countSend(ledger, hits.length * Dataflow.HitBytes)
-          completed.add(b.qIdx, hits)
-        }
+        if (heap != null) completed.add(b.qIdx, heap.toSortedArray)
       } else if (kept > 0) {
-        val survivor = b.copy(
+        outs += SurvivorOut(b.copy(
           pos = b.pos + 1,
           rows = java.util.Arrays.copyOf(rows, kept),
-          partial = java.util.Arrays.copyOf(parts, kept))
-        Dataflow.countSend(ledger, kept * Dataflow.StateRowBytes)
-        outs += SurvivorOut(survivor)
+          partial = java.util.Arrays.copyOf(parts, kept)))
       }
     }
 

@@ -114,7 +114,7 @@ object Harmony {
         val (p, c) = CostModel.choose(cfg, dim, listSizes, probes, survival)
         (p, Some(c))
     }
-    val store = BlockStore.build(spark, index, plan, samplePerCluster = cfg.prewarmPerCluster)
+    val store = BlockStore.build(spark, index, plan)
     val times = indexTimes.copy(preAssignMs = store.preAssignMs)
     new HarmonySystem(spark, index, cfg, plan, store, planCost, times)
   }

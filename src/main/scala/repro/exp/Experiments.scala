@@ -7,12 +7,14 @@ import org.apache.spark.sql.SparkSession
 import repro.baselines.Faiss
 import repro.core._
 import repro.ivf.{BuildTimes, IVFIndex}
+import repro.linalg.VecOps
 import repro.metrics.Recall
-import repro.sim.CostParams
+import repro.sim.{CostParams, SimReport}
 import repro.vectors.{Datasets, GenConfig, VectorDataset, VectorGen}
 
-/** One function per paper table/figure (see DESIGN.md experiment index).
-  * Shared by the `jobs/` spark-submit entrypoints and the `bench/` suites.
+/** One function per paper table/figure (see DESIGN.md experiment index),
+  * and [[Experiments.Artifacts]], the registry that fixes their
+  * reproduction-scale arguments for `repro.jobs.Run` and the bench suite.
   */
 object Experiments {
 
@@ -65,7 +67,7 @@ object Experiments {
     }
     // fraction of this query's candidate rows that land on the hot machine
     def hotRowFrac(q: Array[Float]): Double = {
-      val probed = repro.linalg.VecOps.nearestN(q, idx.centroids, nprobe)
+      val probed = VecOps.nearestN(q, idx.centroids, nprobe)
       val total = probed.map(idx.listSize(_).toLong).sum.toDouble
       if (total == 0) 0.0
       else probed.filter(hotSet).map(idx.listSize(_).toLong).sum / total
@@ -96,10 +98,10 @@ object Experiments {
   private def deployMode(spark: SparkSession, idx: IVFIndex, mode: Mode, nNodes: Int,
                          nprobe: Int, workload: Array[Array[Float]],
                          pruning: Boolean = true, pipeline: Boolean = true,
-                         balanced: Boolean = true, times: BuildTimes = BuildTimes(0, 0, 0),
-                         params: CostParams = CostParams()): HarmonySystem = {
+                         balanced: Boolean = true,
+                         times: BuildTimes = BuildTimes(0, 0, 0)): HarmonySystem = {
     val cfg = HarmonyConfig(nNodes = nNodes, mode = mode, k = DefaultK, nprobe = nprobe,
-      pruning = pruning, pipeline = pipeline, balancedLoad = balanced, costParams = params)
+      pruning = pruning, pipeline = pipeline, balancedLoad = balanced)
     // Baseline modes use workload-agnostic (size-balanced) placement; only
     // Mode.Harmony adapts to the anticipated workload via the cost model.
     val sample = if (mode == Mode.Harmony) workload else Array.empty[Array[Float]]
@@ -411,4 +413,108 @@ object Experiments {
     Seq("Nodes", "Vector x", "Dimension x", "Harmony x"),
     rows.map(r => Seq(r.nNodes.toString, ExpUtil.f2(r.vectorX), ExpUtil.f2(r.dimensionX),
       ExpUtil.f2(r.harmonyX))))
+
+  // ------------------------------------------------------------------
+  // Grid diagnosis — the planner's prediction next to the engine's count
+  // ------------------------------------------------------------------
+  /** One candidate grid of one diagnosis: the planner's cost of the plan
+    * deploy would lay out for it, the report the engine measured searching
+    * the same batch on that plan, and single-node Faiss on the batch. */
+  final case class GridRow(name: String, skew: Double, bVec: Int, bDim: Int, chosen: Boolean,
+                           cost: CostModel.PlanCost, measured: SimReport, faiss: SimReport)
+
+  /** For each (skew level, dataset) the batch is `adversarialQueries` at
+    * that level and also the planner's workload sample, as in the paper
+    * artifacts. Every candidate grid is laid out by
+    * `PartitionPlan.forWorkload` and searched under the same config;
+    * `chosen` marks the grid `CostModel.choose` returns. */
+  def grids(spark: SparkSession, diagnoses: Seq[(Double, GenConfig)]): Seq[GridRow] = {
+    val cfg = HarmonyConfig(nNodes = DefaultNodes, k = DefaultK, nprobe = DefaultNprobe)
+    diagnoses.flatMap { case (skew, dcfg) =>
+      val (ds, idx, _) = indexed(spark, dcfg)
+      val queries = adversarialQueries(idx, ds, cfg.nNodes, dcfg.nQueries, skew, nprobe = cfg.nprobe)
+      val probes = queries.map(VecOps.nearestN(_, idx.centroids, cfg.nprobe))
+      val popularity = CostModel.popularityOf(probes.toSeq, idx.nlist)
+      val survival = CostModel.SurvivalStats.fromData(idx, queries, k = cfg.k)
+      val (chosen, _) = CostModel.choose(cfg, idx.dim, idx.listSizes, probes, survival)
+      val faiss = Faiss.run(idx, queries, cfg.k, cfg.nprobe, cfg.costParams).report
+      PartitionPlan.candidateGrids(cfg.nNodes, idx.dim).map { case (bv, bd) =>
+        val plan = PartitionPlan.forWorkload(bv, bd, idx.dim, idx.listSizes, popularity,
+          cfg.balancedLoad)
+        val cost = CostModel.estimate(plan, cfg, idx.listSizes, probes, survival)
+        val store = BlockStore.build(spark, idx, plan)
+        val measured = try Engine.search(spark, store, idx, queries, cfg).report
+          finally store.unpersist()
+        GridRow(dcfg.name, skew, bv, bd, (bv, bd) == (chosen.bVec, chosen.bDim), cost, measured, faiss)
+      }
+    }
+  }
+
+  def gridsRender(rows: Seq[GridRow]): ExpUtil.Table = {
+    def ms(sec: Double): String = f"${sec * 1000}%.3f"
+    def split(r: SimReport): String =
+      s"${ms(r.totalSeconds)} [${ms(r.compSeconds)} ${ms(r.commSeconds)} ${ms(r.otherSeconds)}]"
+    def ops(r: SimReport): String = r.perNodeDimOps.map(x => f"${x / 1e6}%.2f").mkString(" ")
+    ExpUtil.Table(
+      "Grid diagnosis: the planner's predicted report vs the simulated one per grid (* = chosen)",
+      Seq("Dataset", "Skew", "Faiss ms", "Grid", "C ms", "Predicted ms [comp comm other]",
+        "Predicted M dim-ops/node", "Simulated ms [comp comm other]", "Simulated M dim-ops/node",
+        "x Faiss"),
+      rows.map(r => Seq(r.name, ExpUtil.f2(r.skew), ms(r.faiss.totalSeconds),
+        s"${if (r.chosen) "*" else " "}${r.bVec}x${r.bDim}", ms(r.cost.totalSec),
+        split(r.cost.report), ops(r.cost.report), split(r.measured), ops(r.measured),
+        ExpUtil.f2(r.measured.qps / r.faiss.qps))))
+  }
+
+  // ------------------------------------------------------------------
+  // The registry: each artifact at reproduction scale, defined once
+  // ------------------------------------------------------------------
+  /** One paper artifact: the run with its reproduction-scale arguments, and
+    * the tables it prints. */
+  final case class Artifact[R](name: String, run: SparkSession => R,
+                               render: R => Seq[ExpUtil.Table]) {
+    def tables(spark: SparkSession): Seq[ExpUtil.Table] = render(run(spark))
+  }
+
+  /** Every artifact `repro.jobs.Run` and the bench suite run, in paper
+    * order. */
+  object Artifacts {
+    val table2 = Artifact[Seq[T2Row]]("table2", _ => Experiments.table2(),
+      r => Seq(table2Render(r)))
+    val table3 = Artifact[Seq[T3Row]]("table3", Experiments.table3(_, Datasets.small8),
+      r => Seq(table3Render(r)))
+    val table4 = Artifact[Seq[T4Row]]("table4", Experiments.table4(_, Datasets.small8),
+      r => Seq(table4Render(r)))
+    val table5 = Artifact[Seq[T5Row]]("table5", Experiments.table5(_, Datasets.small8),
+      r => Seq(table5Render(r)))
+    val fig6 = Artifact[Seq[F6Curve]]("fig6",
+      spark => Datasets.small8.map(Experiments.fig6(spark, _, Seq(4, 16, 48))),
+      r => Seq(fig6Render(r)))
+    /** the two billion-scale stand-ins, on 16 nodes */
+    val fig6big = Artifact[Seq[F6Curve]]("fig6big",
+      spark => Datasets.big2.map(Experiments.fig6(spark, _, Seq(16), nNodes = 16)),
+      r => Seq(fig6Render(r)))
+    /** skew 0, 0.5 and 1, with Auncel (§6.5.4) */
+    val fig7 = Artifact[Seq[F7Curve]]("fig7",
+      spark => Datasets.small8.map(Experiments.fig7(spark, _)), r => Seq(fig7Render(r)))
+    val fig8 = Artifact[Seq[F8Row]]("fig8", Experiments.fig8(_, Datasets.small8),
+      r => Seq(fig8Render(r)))
+    /** skew 0.6 */
+    val fig9 = Artifact[Seq[F9Row]]("fig9", Experiments.fig9(_, Datasets.small8),
+      r => Seq(fig9Render(r)))
+    val fig10 = Artifact[Seq[F10Row]]("fig10", Experiments.fig10(_, Datasets.small8),
+      r => Seq(fig10Render(r)))
+    val fig11a = Artifact[Seq[F11aRow]]("fig11a",
+      Experiments.fig11a(_, Seq(64, 128, 256, 512), Seq(25000, 50000, 100000)),
+      r => Seq(fig11aRender(r)))
+    val fig11b = Artifact[Seq[F11bRow]]("fig11b", Experiments.fig11b(_, Datasets.sift1m, Seq(4, 8, 16)),
+      r => Seq(fig11bRender(Datasets.sift1m.name, r)))
+    /** the two diagnoses EXPERIMENTS.md cites (Fig 7, deviation 1) */
+    val grids = Artifact[Seq[GridRow]]("grids",
+      Experiments.grids(_, Seq(0.0 -> Datasets.glove1_2m, 0.6 -> Datasets.deep1m)),
+      r => Seq(gridsRender(r)))
+
+    val all: Seq[Artifact[_]] = Seq(table2, table3, table4, table5, fig6, fig6big, fig7, fig8,
+      fig9, fig10, fig11a, fig11b, grids)
+  }
 }

@@ -185,10 +185,6 @@ object VecOps {
     l2PartialAt(a, 0, b, 0, a.length)
   }
 
-  /** Squared L2 distance over dimensions `[lo, hi)` of full vectors. */
-  def l2Slice(a: Array[Float], b: Array[Float], lo: Int, hi: Int): Double =
-    l2PartialAt(a, lo, b, lo, hi - lo)
-
   /** Dot product over the slice `[0, len)` from the given offsets. */
   def dotPartialAt(a: Array[Float], aOff: Int, b: Array[Float], bOff: Int, len: Int): Double = {
     var s = 0.0

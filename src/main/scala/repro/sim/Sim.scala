@@ -31,13 +31,10 @@ final case class CostParams(
 final case class NodeLedger(
     var dimOps: Long = 0L,
     var bytesIn: Long = 0L,
-    var bytesOut: Long = 0L,
     var msgsIn: Long = 0L,
-    var msgsOut: Long = 0L,
 ) extends Serializable {
   def add(o: NodeLedger): NodeLedger = {
-    dimOps += o.dimOps; bytesIn += o.bytesIn; bytesOut += o.bytesOut
-    msgsIn += o.msgsIn; msgsOut += o.msgsOut
+    dimOps += o.dimOps; bytesIn += o.bytesIn; msgsIn += o.msgsIn
     this
   }
 }

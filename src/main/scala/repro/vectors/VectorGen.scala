@@ -26,7 +26,7 @@ final case class GenConfig(
     clusterStd: Double = 1.0,
     /** std of latent cluster centers; the ratio to clusterStd sets cluster
       * overlap and thereby how far probed-neighbor candidates sit from the
-      * true top-K distance (calibrated via jobs/Calibrate) */
+      * true top-K distance (the calibrated bands are in EXPERIMENTS.md) */
     centerScale: Double = 1.0,
     decayRate: Double = 1.0,
     /** lognormal sigma of the per-vector radius multiplier. Real embedding

@@ -73,7 +73,7 @@ class OracleChecksSpec extends SparkSpec {
 
   test("VecOps distances agree with SQL-computed distances") {
     val sparkDist = (for (q <- 0 until 4; i <- 0 until nSub) yield {
-      val dist = VecOps.l2Slice(ds.queries(q), ds.data(i), 0, dSub)
+      val dist = VecOps.l2PartialAt(ds.queries(q), 0, ds.data(i), 0, dSub)
       (q, i.toLong, dist)
     }).toDF("qid", "vid", "dist")
     Oracle.assertEquivalent(sparkDist,

@@ -23,7 +23,7 @@ class PredictionSpec extends SparkSpec {
     val plan = PartitionPlan.forWorkload(bVec, bDim, idx.dim, idx.listSizes,
       CostModel.popularityOf(probes.toSeq, idx.nlist), cfg.balancedLoad)
     val survival = CostModel.SurvivalStats.fromData(idx, queries, k = cfg.k)
-    val store = BlockStore.build(spark, idx, plan, samplePerCluster = cfg.prewarmPerCluster)
+    val store = BlockStore.build(spark, idx, plan)
     val measured = try Engine.search(spark, store, idx, queries, cfg) finally store.unpersist()
     Run(cfg, plan, probes, CostModel.predict(plan, cfg, idx.listSizes, probes, survival),
       CostModel.estimate(plan, cfg, idx.listSizes, probes, survival).report, measured)

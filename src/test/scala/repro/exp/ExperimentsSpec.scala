@@ -14,6 +14,20 @@ class ExperimentsSpec extends SparkSpec {
     nGenClusters = 16, decayRate = 0.0, seed = 62)
   private val tiny = Seq(tinyA, tinyB)
 
+  test("registry names are unique") {
+    val names = Experiments.Artifacts.all.map(_.name)
+    assert(names.distinct == names)
+  }
+
+  test("Run selects artifacts by name and rejects an unknown one, listing the known ones") {
+    assert(repro.jobs.Run.select(Nil) == Experiments.Artifacts.all)
+    assert(repro.jobs.Run.select(Seq("fig9", "table3")) ==
+      Seq(Experiments.Artifacts.fig9, Experiments.Artifacts.table3))
+    val e = intercept[IllegalArgumentException](repro.jobs.Run.select(Seq("table3", "fig99")))
+    assert(e.getMessage.contains("unknown artifact fig99"))
+    Experiments.Artifacts.all.foreach(a => assert(e.getMessage.contains(a.name)))
+  }
+
   test("nlistFor scales with dataset size within bounds") {
     assert(Experiments.nlistFor(1000) == 16)
     assert(Experiments.nlistFor(60000) == 256)

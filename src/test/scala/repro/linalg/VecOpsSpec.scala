@@ -48,7 +48,7 @@ class VecOpsSpec extends AnyFunSuite {
       val r = new Random(s)
       val nSplits = 1 + r.nextInt(6)
       val cuts = (Seq(0, dim) ++ Seq.fill(nSplits)(r.nextInt(dim + 1))).distinct.sorted
-      val sum = cuts.sliding(2).map(w => VecOps.l2Slice(a, b, w(0), w(1))).sum
+      val sum = cuts.sliding(2).map(w => VecOps.l2PartialAt(a, w(0), b, w(0), w(1) - w(0))).sum
       assert(math.abs(sum - full) < 1e-9, s"split=$cuts")
     }
   }
@@ -59,7 +59,7 @@ class VecOpsSpec extends AnyFunSuite {
       val a = randVec(dim, s); val b = randVec(dim, s + 77)
       var acc = 0.0
       for (lo <- 0 until dim by 8) {
-        val next = acc + VecOps.l2Slice(a, b, lo, lo + 8)
+        val next = acc + VecOps.l2PartialAt(a, lo, b, lo, 8)
         assert(next >= acc)
         acc = next
       }
@@ -67,13 +67,13 @@ class VecOpsSpec extends AnyFunSuite {
     }
   }
 
-  test("l2PartialAt matches l2Slice for offset addressing") {
+  test("l2PartialAt on a compact stored slice matches full-vector offset addressing") {
     val a = randVec(40, 11); val b = randVec(40, 12)
     // simulate a stored slice: copy dims [8,24) of b into a compact array
     val sliceLen = 16
     val stored = new Array[Float](sliceLen)
     System.arraycopy(b, 8, stored, 0, sliceLen)
-    assert(VecOps.l2PartialAt(a, 8, stored, 0, sliceLen) == VecOps.l2Slice(a, b, 8, 24))
+    assert(VecOps.l2PartialAt(a, 8, stored, 0, sliceLen) == VecOps.l2PartialAt(a, 8, b, 8, sliceLen))
   }
 
   private def bits(d: Double): Long = java.lang.Double.doubleToRawLongBits(d)
