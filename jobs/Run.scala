@@ -27,6 +27,7 @@ object Run {
       .appName("repro")
       .config("spark.ui.enabled", "false")
       .getOrCreate()
+    spark.sparkContext.setLogLevel("WARN")
     try artifacts.foreach(_.tables(spark).foreach(t => println(t.render)))
     finally spark.stop()
   }

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 
@@ -42,30 +41,31 @@ final case class ShardLayout(
 }
 
 /** The payload of one grid block (shard × dimension slice): `nRows × sliceLen`
-  * floats, row-major, rows ordered per the shard layout.
+  * floats, row-major, rows ordered per `layout`, its shard's row layout.
   */
 final case class BlockData(
-    shard: Int,
+    layout: ShardLayout,
     slice: Int,
     sliceLo: Int,
     sliceLen: Int,
     data: Array[Float],
 ) extends Serializable {
+  def shard: Int = layout.shard
   def nRows: Int = if (sliceLen == 0) 0 else data.length / sliceLen
   def payloadBytes: Long = data.length.toLong * 4L
 }
 
-/** Distributed base-vector store for a partition plan: an
-  * `RDD[(blockId, BlockData)]` with one partition per node, holding the
-  * blocks `plan.nodeOfBlock` places there, so each simulated node
-  * materializes exactly its blocks. Client-side routing and prewarm read
-  * the IVF index itself.
+/** Distributed base-vector store for a partition plan: an `RDD[BlockData]`
+  * whose partition `n` holds exactly node `n`'s grid block (shard
+  * `n / bDim`, slice `n % bDim`), so each simulated node materializes
+  * exactly its block and its shard's row layout. `layouts` keeps the
+  * driver's copy for storage accounting. Client-side routing and prewarm
+  * read the IVF index itself.
   */
 final class BlockStore(
     val plan: PartitionPlan,
     val layouts: Array[ShardLayout],
-    val blocks: RDD[(Int, BlockData)],
-    val bcLayouts: Broadcast[Array[ShardLayout]],
+    val blocks: RDD[BlockData],
     val preAssignMs: Long,
 ) extends Serializable {
 
@@ -90,10 +90,7 @@ final class BlockStore(
 
   def maxNodeStorageBytes: Long = perNodeStorageBytes.max
 
-  def unpersist(): Unit = {
-    blocks.unpersist(blocking = false)
-    bcLayouts.destroy()
-  }
+  def unpersist(): Unit = blocks.unpersist(blocking = false)
 }
 
 object BlockStore {
@@ -119,40 +116,35 @@ object BlockStore {
       ShardLayout(shard, clusters, starts, rowIds)
     }
 
-    val blockSeq: Seq[(Int, BlockData)] =
-      for (shard <- 0 until plan.bVec; slice <- 0 until plan.bDim) yield {
-        val layout = layouts(shard)
-        val lo = plan.sliceLo(slice)
-        val len = plan.sliceLen(slice)
-        val data = new Array[Float](layout.nRows * len)
-        var rowBase = 0
-        layout.clusters.foreach { c =>
-          val rows = index.listSize(c)
-          val src = index.listData(c)
-          var r = 0
-          while (r < rows) {
-            System.arraycopy(src, r * dim + lo, data, (rowBase + r) * len, len)
-            r += 1
-          }
-          rowBase += rows
+    // node n holds block (shard n / bDim, slice n % bDim), inverting plan.nodeOf
+    val blockSeq = Array.tabulate(plan.nNodes) { n =>
+      val layout = layouts(n / plan.bDim)
+      val slice = n % plan.bDim
+      val lo = plan.sliceLo(slice)
+      val len = plan.sliceLen(slice)
+      val data = new Array[Float](layout.nRows * len)
+      var rowBase = 0
+      layout.clusters.foreach { c =>
+        val rows = index.listSize(c)
+        val src = index.listData(c)
+        var r = 0
+        while (r < rows) {
+          System.arraycopy(src, r * dim + lo, data, (rowBase + r) * len, len)
+          r += 1
         }
-        (plan.blockId(shard, slice), BlockData(shard, slice, lo, len, data))
+        rowBase += rows
       }
+      BlockData(layout, slice, lo, len, data)
+    }
 
     // one slice per node places every block on its node without a shuffle;
-    // the local checkpoint cuts the lineage, so the driver's copy is freed
-    // once the blocks are stored
-    val sc = spark.sparkContext
-    val blocks = sc
-      .parallelize((0 until plan.nNodes).map(n =>
-        blockSeq.filter { case (bid, _) => plan.nodeOfBlock(bid) == n }.toArray), plan.nNodes)
-      .flatMap(_.iterator)
-      .localCheckpoint()
+    // the local checkpoint cuts the lineage of the mapped RDD, so the
+    // driver's copy, held by the parallelized collection, is freed once the
+    // blocks are stored
+    val blocks = spark.sparkContext.parallelize(blockSeq, plan.nNodes).map(identity).localCheckpoint()
     blocks.count() // materialize: placement is part of pre-assign time
 
-    val bcLayouts = sc.broadcast(layouts)
-
     val preAssignMs = (System.nanoTime() - t0) / 1000000L
-    new BlockStore(plan, layouts, blocks, bcLayouts, preAssignMs)
+    new BlockStore(plan, layouts, blocks, preAssignMs)
   }
 }

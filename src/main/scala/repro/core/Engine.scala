@@ -2,10 +2,11 @@ package repro.core
 
 import scala.collection.mutable.ArrayBuffer
 
-import org.apache.spark.TaskContext
+import org.apache.spark.{HashPartitioner, SparkException, TaskContext}
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
+import org.apache.spark.storage.StorageLevel
 
 import repro.ivf.IVFIndex
 import repro.linalg.{BoundedMaxHeap, Hit, Par, VecOps}
@@ -76,7 +77,8 @@ object PackedHits {
   }
 }
 
-/** Stage task outputs: surviving batches, each node's completed hits of a
+/** Stage task outputs, keyed by their destination node in the shuffle
+  * after the stage: surviving batches, each node's completed hits of a
   * wave, each node's heap replica, and one accounting record per node, wave
   * and pipeline position. */
 sealed trait StageOut extends Serializable
@@ -147,11 +149,13 @@ final case class EngineResult(
 
 /** Harmony's flexible pipelined execution engine (§4.3, Algorithm 1).
   *
-  * Stage anatomy: candidate batches are keyed by the block id of their next
-  * dimension slice and co-partitioned (via [[NodePartitioner]]) with the
-  * base-vector blocks, so each simulated node computes partial distances for
-  * exactly the state that was routed to it; the shuffle between stages *is*
-  * the inter-machine transfer and is counted byte-for-byte.
+  * Stage anatomy: node `n` holds grid block `n` (partition `n` of
+  * [[BlockStore.blocks]]), and candidate batches are keyed by the node of
+  * their next dimension slice, so a `HashPartitioner(nNodes)` shuffle,
+  * which maps an `Int` key in `[0, nNodes)` to itself, co-partitions them
+  * with the block they need: each simulated node computes partial distances
+  * for exactly the state that was routed to it; the shuffle between stages
+  * *is* the inter-machine transfer and is counted byte-for-byte.
   *
   * A batch is one Spark job. The driver routes the queries, prewarms their
   * top-K heaps and builds every wave's per-node inputs up front; slice
@@ -230,8 +234,8 @@ object Engine {
       wave.foreach { wb =>
         val b = CandBatch(wb.qIdx, wb.shard, wb.sliceOrder, 0, wb.clusters,
           rows = Array.emptyIntArray, partial = Array.emptyDoubleArray, bound = Double.NaN)
-        val bid = plan.blockId(wb.shard, wb.sliceOrder(0))
-        byNode(plan.nodeOfBlock(bid)) += ((bid, SurvivorOut(b)))
+        val node = plan.nodeOf(wb.shard, wb.sliceOrder(0))
+        byNode(node) += ((node, SurvivorOut(b)))
       }
       byNode.toSeq.map(_.toArray)
     }
@@ -242,16 +246,21 @@ object Engine {
 
     // stage w·bDim + pos zips what reaches each node from before (the
     // replicas at first, then the previous stage's shuffled output), the
-    // node's wave inputs (none after a first position) and its blocks
+    // node's wave inputs (none after a first position) and its block
     val bcQueries = sc.broadcast(wide)
     val meta = try {
-      val consts = StageConsts(bcQueries, store.bcLayouts, nWaves, nNodes, bDim, k, pruning)
+      // checked before submitting: a job that fails in its tasks leaves its
+      // task binaries broadcast until the driver's next GC
+      if (store.blocks.getStorageLevel == StorageLevel.NONE)
+        throw new SparkException(s"the blocks of RDD ${store.blocks.id} were unpersisted")
+      val consts = StageConsts(bcQueries, plan, nWaves, k, pruning)
+      val toNodes = new HashPartitioner(nNodes)
       val noInputs = sc.parallelize(Seq.fill(nNodes)(Array.empty[(Int, StageOut)]), nNodes)
       var prev: RDD[(Int, StageOut)] = sc.parallelize(replicas, nNodes)
       for (w <- 0 until nWaves; pos <- 0 until bDim) {
         val mine = if (pos == 0) sc.parallelize(inputs(w), nNodes) else noInputs
         val out = prev.zipPartitions(mine, store.blocks)(new StageFn(consts, w, pos))
-        prev = if (w < nWaves - 1 || pos < bDim - 1) out.partitionBy(plan.partitioner) else out
+        prev = if (w < nWaves - 1 || pos < bDim - 1) out.partitionBy(toNodes) else out
       }
       prev.collect()
     } finally bcQueries.destroy()
@@ -303,10 +312,8 @@ object Engine {
   /** What every stage task of a batch reads besides its records. */
   private final case class StageConsts(
       queries: Broadcast[Array[Array[Double]]],
-      layouts: Broadcast[Array[ShardLayout]],
+      plan: PartitionPlan,
       nWaves: Int,
-      nNodes: Int,
-      bDim: Int,
       k: Int,
       pruning: Boolean,
   )
@@ -317,14 +324,14 @@ object Engine {
     * RDD operation, about 1 ms each on the driver before the job is
     * submitted, and it skips named classes. */
   private final class StageFn(c: StageConsts, wave: Int, pos: Int)
-      extends ((Iterator[(Int, StageOut)], Iterator[Array[(Int, StageOut)]], Iterator[(Int, BlockData)]) =>
+      extends ((Iterator[(Int, StageOut)], Iterator[Array[(Int, StageOut)]], Iterator[BlockData]) =>
         Iterator[(Int, StageOut)]) with Serializable {
     def apply(
         prev: Iterator[(Int, StageOut)],
         mine: Iterator[Array[(Int, StageOut)]],
-        blocks: Iterator[(Int, BlockData)],
+        block: Iterator[BlockData],
     ): Iterator[(Int, StageOut)] =
-      stageTask(prev ++ mine.flatMap(_.iterator), blocks, c, wave, pos).flatMap(route)
+      stageTask(prev ++ mine.flatMap(_.iterator), block.next(), c, wave, pos).flatMap(route)
 
     /** Where an output goes in the shuffle after this stage: survivors to
       * the node of their next block, this wave's hits (emitted at its final
@@ -332,35 +339,40 @@ object Engine {
       * back to the node holding it (the last stage's output is collected
       * as it is keyed). */
     private def route(o: StageOut): Iterator[(Int, StageOut)] = o match {
-      case s @ SurvivorOut(b) => Iterator.single((b.shard * c.bDim + b.sliceOrder(b.pos), s))
-      case h: HitsOut if h.wave == wave && wave < c.nWaves - 1 => Iterator.tabulate(c.nNodes)(n => (n, h))
+      case s @ SurvivorOut(b) => Iterator.single((c.plan.nodeOf(b.shard, b.sliceOrder(b.pos)), s))
+      case h: HitsOut if h.wave == wave && wave < c.nWaves - 1 => Iterator.tabulate(c.plan.nNodes)(n => (n, h))
       case h: HitsOut => Iterator.single((h.node, h))
       case r: ReplicaOut => Iterator.single((r.node, r))
       case l: LedgerOut => Iterator.single((l.node, l))
     }
   }
 
-  /** One node's task at position `pos` of wave `wave`. At a first position
-    * the node folds the previous wave's hits from every node into its heap
-    * replica, in (source node, sequence) order, derives the wave's bounds
-    * from it and passes the replica on to its next wave; of those hits it
-    * forwards only its own, so each reaches the `collect` once. Ledgers,
-    * hits and the replica of earlier steps ride along.
+  /** One node's task at position `pos` of wave `wave`, on the node's one
+    * `block`. At a first position the node folds the previous wave's hits
+    * from every node into its heap replica, in (source node, sequence)
+    * order, derives the wave's bounds from it and passes the replica on to
+    * its next wave; of those hits it forwards only its own, so each reaches
+    * the `collect` once. Ledgers, hits and the replica of earlier steps
+    * ride along.
     */
   private def stageTask(
       recs: Iterator[(Int, StageOut)],
-      blocks: Iterator[(Int, BlockData)],
+      block: BlockData,
       c: StageConsts,
       wave: Int,
       pos: Int,
   ): Iterator[StageOut] = {
     val node = TaskContext.getPartitionId()
-    val cands = ArrayBuffer.empty[(Int, CandBatch)]
+    val cands = ArrayBuffer.empty[CandBatch]
     val fresh = ArrayBuffer.empty[HitsOut]
     val forwarded = ArrayBuffer.empty[StageOut]
     var replica: ReplicaOut = null
     recs.foreach {
-      case (bid, SurvivorOut(b)) => cands += ((bid, b))
+      case (_, SurvivorOut(b)) =>
+        if (b.shard != block.shard || b.sliceOrder(b.pos) != block.slice) throw new IllegalStateException(
+          s"query ${b.qIdx}'s batch for block (${b.shard}, ${b.sliceOrder(b.pos)}) reached node $node, " +
+            s"which holds block (${block.shard}, ${block.slice})")
+        cands += b
       case (_, r: ReplicaOut) if pos == 0 => replica = r
       case (_, h: HitsOut) if pos == 0 && h.wave == wave - 1 =>
         fresh += h
@@ -379,7 +391,7 @@ object Engine {
       boundsSum = boundsChecksum(bounds)
       if (wave < c.nWaves - 1) forwarded += ReplicaOut(node, PackedHits.of(heaps))
     }
-    processStage(cands.iterator, blocks, queries, bounds, c.layouts.value, wave, pos, c.bDim, c.k, node,
+    processStage(cands.iterator, block, queries, bounds, wave, pos, c.plan.bDim, c.k, node,
       boundsSum) ++ forwarded
   }
 
@@ -409,11 +421,10 @@ object Engine {
     * compacted in place before they are copied out.
     */
   private def processStage(
-      cands: Iterator[(Int, CandBatch)],
-      blocks: Iterator[(Int, BlockData)],
+      cands: Iterator[CandBatch],
+      block: BlockData,
       queries: Array[Array[Double]],
       bounds: Array[Double],
-      layouts: Array[ShardLayout],
       wave: Int,
       pos: Int,
       bDim: Int,
@@ -421,9 +432,7 @@ object Engine {
       node: Int,
       boundsSum: Long,
   ): Iterator[StageOut] = {
-    val blockMap = blocks.toMap
-    def blockOf(bid: Int): BlockData = blockMap.getOrElse(bid,
-      throw new IllegalStateException(s"block $bid not resident on node $node"))
+    val layout = block.layout
     val ledger = NodeLedger()
     var entering = 0L
     var prunedCount = 0L
@@ -436,14 +445,12 @@ object Engine {
     // (survivor rows differ per query there)
     val batches =
       if (pos == 0) {
-        val (scanned, ops) = scanFirstSlice(cands.toArray, blockOf, queries, bounds, layouts)
+        val (scanned, ops) = scanFirstSlice(cands.toArray, block, queries, bounds)
         executed += ops
         scanned.iterator
       } else cands
 
-    batches.foreach { case (bid, b) =>
-      val block = blockOf(bid)
-      val layout = layouts(b.shard)
+    batches.foreach { b =>
       val q = queries(b.qIdx)
       val bound = b.bound
 
@@ -500,10 +507,10 @@ object Engine {
   }
 
   /** A wave's first position on one node: each of `batches`, copied with
-    * its candidate rows (its clusters' shard-row ranges, in cluster order),
-    * this slice's distances in `partial` and its query's bound from
-    * `bounds`, and the dim-ops the kernels
-    * executed. The batches are grouped by (block, cluster), so each cluster
+    * its candidate rows (its clusters' shard-row ranges in `block`, in
+    * cluster order), this slice's distances in `partial` and its query's
+    * bound from `bounds`, and the dim-ops the kernels
+    * executed. The batches are grouped by cluster, so each cluster
     * range is read once for every query that probes it, four queries at a
     * time; the 1–3 left over go through the one-query kernel. Each row's
     * distance is summed from 0.0 in dimension order whichever kernel
@@ -513,22 +520,21 @@ object Engine {
     * prune test in [[processStage]] drops it as it would the full sum.
     */
   private def scanFirstSlice(
-      batches: Array[(Int, CandBatch)],
-      blockOf: Int => BlockData,
+      batches: Array[CandBatch],
+      block: BlockData,
       queries: Array[Array[Double]],
       bounds: Array[Double],
-      layouts: Array[ShardLayout],
-  ): (Array[(Int, CandBatch)], Long) = {
+  ): (Array[CandBatch], Long) = {
     // a batch probing a cluster: the cluster's rows sit at `off` in `partial`
     final case class Member(qIdx: Int, partial: Array[Double], off: Int)
-    final class Group(val bid: Int, val lo: Int, val hi: Int) {
+    final class Group(val lo: Int, val hi: Int) {
       val members = ArrayBuffer.empty[Member]
     }
-    // (block, cluster) → the batches probing it
-    val groups = scala.collection.mutable.HashMap.empty[Long, Group]
+    // cluster → the batches probing it
+    val groups = scala.collection.mutable.HashMap.empty[Int, Group]
+    val layout = block.layout
 
-    val materialized = batches.map { case (bid, b) =>
-      val layout = layouts(b.shard)
+    val materialized = batches.map { b =>
       var total = 0
       b.clusters.foreach(c => total += layout.rowEnd(c) - layout.rowStart(c))
       val rows = new Array[Int](total)
@@ -537,12 +543,12 @@ object Engine {
       b.clusters.foreach { c =>
         val lo = layout.rowStart(c)
         val hi = layout.rowEnd(c)
-        val g = groups.getOrElseUpdate((bid.toLong << 32) | c, new Group(bid, lo, hi))
+        val g = groups.getOrElseUpdate(c, new Group(lo, hi))
         g.members += Member(b.qIdx, partial, w)
         var r = lo
         while (r < hi) { rows(w) = r; w += 1; r += 1 }
       }
-      (bid, b.copy(rows = rows, partial = partial, bound = bounds(b.qIdx)))
+      b.copy(rows = rows, partial = partial, bound = bounds(b.qIdx))
     }
 
     // the 4-query kernel's arguments, refilled for every group of four
@@ -551,9 +557,8 @@ object Engine {
     val outs4 = new Array[Array[Double]](4)
     val offs4 = new Array[Int](4)
     var executed = 0L
+    val len = block.sliceLen
     groups.valuesIterator.foreach { g =>
-      val block = blockOf(g.bid)
-      val len = block.sliceLen
       val ms = g.members
       var m = 0
       while (m + 4 <= ms.length) {

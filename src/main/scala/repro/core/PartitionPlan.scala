@@ -1,36 +1,13 @@
 package repro.core
 
-import org.apache.spark.Partitioner
-
-/** Maps block ids onto simulated nodes — the custom Spark partitioner that
-  * realizes Harmony's machine placement. Each Spark partition *is* one
-  * machine of the simulated cluster; co-partitioning candidate state with
-  * the base-vector blocks is what makes a pipeline stage a local
-  * computation plus an explicit (counted) shuffle.
-  */
-final class NodePartitioner(val nNodes: Int) extends Partitioner {
-  require(nNodes > 0, s"nNodes must be positive: $nNodes")
-  override def numPartitions: Int = nNodes
-  override def getPartition(key: Any): Int = key match {
-    case i: Int => ((i % nNodes) + nNodes) % nNodes
-    case other  => throw new IllegalArgumentException(s"block keys must be Int, got $other")
-  }
-  override def equals(o: Any): Boolean = o match {
-    case p: NodePartitioner => p.nNodes == nNodes
-    case _ => false
-  }
-  override def hashCode(): Int = nNodes
-}
-
 /** A multi-granularity partition plan π (§4.2): a `bVec × bDim` grid.
   *
   *  - `bVec` vector-based shards: each IVF cluster is assigned wholly to one
   *    shard (`shardOfCluster`);
   *  - `bDim` dimension-based slices: near-equal contiguous dimension ranges
   *    `[sliceBounds(s), sliceBounds(s+1))`;
-  *  - block (shard `v`, slice `d`) has id `v * bDim + d` and lives on node
-  *    `blockId % nNodes`. With `nNodes == bVec * bDim` (the grid layout of
-  *    Fig 4) every node holds exactly one block.
+  *  - `nNodes == bVec * bDim` (the grid layout of Fig 4): block (shard `v`,
+  *    slice `d`) is the one block of node `nodeOf(v, d) = v * bDim + d`.
   *
   * `bDim = 1` is pure vector-based partitioning, `bVec = 1` pure
   * dimension-based partitioning.
@@ -50,16 +27,12 @@ final case class PartitionPlan(
   require(shardOfCluster.forall(s => s >= 0 && s < bVec), "cluster mapped outside shard range")
 
   def nlist: Int = shardOfCluster.length
-  def blockId(shard: Int, slice: Int): Int = shard * bDim + slice
-  def nodeOfBlock(id: Int): Int = ((id % nNodes) + nNodes) % nNodes
-  def nodeOf(shard: Int, slice: Int): Int = nodeOfBlock(blockId(shard, slice))
+  def nodeOf(shard: Int, slice: Int): Int = shard * bDim + slice
   def sliceLo(s: Int): Int = sliceBounds(s)
   def sliceHi(s: Int): Int = sliceBounds(s + 1)
   def sliceLen(s: Int): Int = sliceHi(s) - sliceLo(s)
   def clustersOfShard(shard: Int): Array[Int] =
     shardOfCluster.zipWithIndex.collect { case (s, c) if s == shard => c }
-
-  def partitioner: NodePartitioner = new NodePartitioner(nNodes)
 }
 
 object PartitionPlan {

@@ -72,11 +72,6 @@ object Datasets {
 
   val all: Seq[GenConfig] = small8 ++ big2
 
-  def byName(name: String): GenConfig =
-    all.find(_.name.equalsIgnoreCase(name))
-      .getOrElse(throw new NoSuchElementException(
-        s"unknown dataset '$name'; known: ${all.map(_.name).mkString(", ")}"))
-
   private val cache = TrieMap.empty[String, VectorDataset]
 
   /** Materialize (and memoize) a dataset. */

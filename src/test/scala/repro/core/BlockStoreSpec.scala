@@ -17,15 +17,25 @@ class BlockStoreSpec extends SparkSpec {
   }
 
   test("blocks RDD has one partition per node and correct placement") {
-    val st = store(2, 2)
-    try {
-      assert(st.blocks.getNumPartitions == 4)
-      val placed = st.blocks.mapPartitionsWithIndex { (node, it) =>
-        it.map { case (bid, _) => (node, bid) }
-      }.collect()
-      placed.foreach { case (node, bid) => assert(st.plan.nodeOfBlock(bid) == node) }
-      assert(placed.length == 4) // one block per node in the grid layout
-    } finally st.unpersist()
+    for ((bVec, bDim) <- Seq((2, 2), (4, 1), (1, 4))) {
+      val st = store(bVec, bDim)
+      try {
+        assert(st.blocks.getNumPartitions == 4)
+        val placed = st.blocks.mapPartitionsWithIndex { (node, it) =>
+          Iterator.single((node, it.map(b => (b.shard, b.slice, b.layout)).toList))
+        }.collect()
+        assert(placed.map(_._1).toSeq == (0 until 4))
+        placed.foreach { case (node, held) =>
+          // exactly one block: (node / bDim, node % bDim) with its shard's layout
+          assert(held.length == 1, s"node $node holds ${held.length} blocks")
+          val (shard, slice, layout) = held.head
+          assert((shard, slice) == (node / bDim, node % bDim))
+          val want = st.layouts(shard)
+          assert(layout.shard == shard && layout.clusters.sameElements(want.clusters) &&
+            layout.clusterRowStart.sameElements(want.clusterRowStart) && layout.rowIds.sameElements(want.rowIds))
+        }
+      } finally st.unpersist()
+    }
   }
 
   test("placed blocks keep no shuffle and no driver copy in their lineage") {
@@ -87,10 +97,10 @@ class BlockStoreSpec extends SparkSpec {
   test("block payloads hold the exact slice of each stored vector") {
     val st = store(2, 2)
     try {
-      val blocks = st.blocks.collect().toMap
+      val blocks = st.blocks.collect()
       val plan = st.plan
       for (shard <- 0 until 2; slice <- 0 until 2) {
-        val block = blocks(plan.blockId(shard, slice))
+        val block = blocks(plan.nodeOf(shard, slice))
         val layout = st.layouts(shard)
         assert(block.nRows == layout.nRows)
         // spot-check first rows of first cluster
@@ -107,7 +117,7 @@ class BlockStoreSpec extends SparkSpec {
   test("total payload across blocks equals the raw dataset payload") {
     val st = store(2, 2)
     try {
-      val total = st.blocks.collect().map(_._2.payloadBytes).sum
+      val total = st.blocks.collect().map(_.payloadBytes).sum
       assert(total == F.small.dataBytes)
       assert(st.layouts.map(l => l.nRows.toLong * st.plan.dim * 4L).sum == F.small.dataBytes)
     } finally st.unpersist()

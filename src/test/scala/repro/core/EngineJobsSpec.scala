@@ -12,7 +12,7 @@ import repro.ivf.IVFIndex
 
 /** How a search uses Spark: one job per batch with one stage per non-empty
   * wave and dimension slice, one broadcast released before it returns,
-  * nothing left cached, and nothing left broadcast when the job fails.
+  * nothing left cached, and nothing left broadcast when a search fails.
   */
 class EngineJobsSpec extends SparkSpec with Eventually {
 
@@ -76,7 +76,7 @@ class EngineJobsSpec extends SparkSpec with Eventually {
 
   test("a search that fails releases its broadcasts and persists nothing") {
     val (idx, store) = F.smallStore(spark, 2, 2)
-    store.unpersist() // destroys the layouts broadcast every stage task needs
+    store.unpersist() // drops the locally checkpointed blocks: the search fails before its job
     val sc = spark.sparkContext
     val broadcastsBefore = SparkInternals.broadcastIds()
     val persistedBefore = sc.getPersistentRDDs.keySet

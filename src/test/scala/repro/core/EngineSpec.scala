@@ -275,7 +275,7 @@ class EngineSpec extends SparkSpec {
 
   test("dimension mode balances per-node load better than vector mode under skew") {
     val (idx, _) = F.index(spark, F.small)
-    val skewed = repro.vectors.Workloads.queries(F.smallCfg, 24, skewLevel = 1.0)
+    val skewed = repro.vectors.VectorGen.genQueries(F.smallCfg, 24, zipfAlpha = 3.0, seed = 991L)
     def cv(mode: Mode): Double = {
       val sys = Harmony.deploy(spark, idx,
         HarmonyConfig(nNodes = 4, mode = mode, k = k, nprobe = nprobe),

@@ -78,10 +78,12 @@ class PartitionPlanSpec extends AnyFunSuite {
   }
 
   test("block ids form the bVec x bDim grid with one block per node") {
-    val p = plan(2, 3)
-    val ids = for (s <- 0 until 2; d <- 0 until 3) yield p.blockId(s, d)
-    assert(ids.sorted == (0 until 6))
-    assert(ids.map(p.nodeOfBlock).sorted == (0 until 6))
+    // nodeOf is a bijection from the grid onto 0 until nNodes
+    for ((bVec, bDim) <- Seq((1, 1), (2, 3), (3, 2), (6, 1), (1, 6))) {
+      val p = plan(bVec, bDim)
+      val nodes = for (s <- 0 until bVec; d <- 0 until bDim) yield p.nodeOf(s, d)
+      assert(nodes.sorted == (0 until p.nNodes), s"${bVec}x$bDim")
+    }
   }
 
   test("plan validation enforces the grid invariant") {
@@ -111,21 +113,6 @@ class PartitionPlanSpec extends AnyFunSuite {
       Set((1, 6), (2, 3), (3, 2), (6, 1)))
     // dim smaller than some bDim values filters them out
     assert(PartitionPlan.candidateGrids(8, 2).toSet == Set((4, 2), (8, 1)))
-  }
-
-  test("NodePartitioner maps every block id into [0, nNodes)") {
-    val np = new NodePartitioner(4)
-    (0 until 100).foreach(i => assert((0 until 4).contains(np.getPartition(i))))
-    assert(np.numPartitions == 4)
-  }
-
-  test("NodePartitioner equality is by node count") {
-    assert(new NodePartitioner(4) == new NodePartitioner(4))
-    assert(new NodePartitioner(4) != new NodePartitioner(8))
-  }
-
-  test("NodePartitioner rejects non-Int keys") {
-    intercept[IllegalArgumentException](new NodePartitioner(2).getPartition("x"))
   }
 
   test("pure vector and pure dimension plans are expressible") {

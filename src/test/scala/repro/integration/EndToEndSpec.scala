@@ -5,7 +5,6 @@ import repro.baselines.Faiss
 import repro.core.{Harmony, HarmonyConfig, Mode}
 import repro.metrics.Recall
 import repro.sim.CostParams
-import repro.vectors.Workloads
 
 /** End-to-end behavioural properties — the paper's headline claims at test
   * scale: distributed speedup over Faiss, stability of dimension/hybrid

@@ -19,11 +19,11 @@ class DatasetsSpec extends AnyFunSuite {
   }
 
   test("paper-scale metadata matches Table 2") {
-    val sift = Datasets.byName("Sift1M")
+    val sift = Datasets.sift1m
     assert(sift.paperSize == 1000000L && sift.paperDim == 128 && sift.paperQueries == 10000)
-    val hand = Datasets.byName("HandOutlines")
+    val hand = Datasets.handOutlines
     assert(hand.paperSize == 1000000L && hand.paperDim == 2709 && hand.paperQueries == 370)
-    val star = Datasets.byName("StarLightCurves")
+    val star = Datasets.starLightCurves
     assert(star.paperSize == 823600L && star.paperDim == 1024)
   }
 
@@ -43,11 +43,6 @@ class DatasetsSpec extends AnyFunSuite {
     assert(byName("StarLightCurves").decayRate > byName("Sift1M").decayRate)
     assert(byName("Sift1M").decayRate > byName("Glove1.2m").decayRate)
     assert(byName("HandOutlines").decayRate > byName("Glove2.2m").decayRate)
-  }
-
-  test("byName is case-insensitive and rejects unknown names") {
-    assert(Datasets.byName("sift1m").name == "Sift1M")
-    intercept[NoSuchElementException](Datasets.byName("nope"))
   }
 
   test("load materializes the configured shape and memoizes") {

@@ -4,24 +4,16 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.linalg.VecOps
 
+/** Query workloads of the skew experiments (§6.2.2): `VectorGen.genQueries`
+  * with a Zipf exponent over the latent clusters, 0 for the uniform
+  * workload up to 3 for the most skewed. */
 class WorkloadsSpec extends AnyFunSuite {
 
   private val cfg = GenConfig(name = "wl-test", n = 1000, dim = 16, nQueries = 10,
     nGenClusters = 8, seed = 21)
 
-  test("alphaFor maps [0,1] onto [0,3]") {
-    assert(Workloads.alphaFor(0.0) == 0.0)
-    assert(Workloads.alphaFor(1.0) == 3.0)
-    assert(Workloads.alphaFor(0.5) == 1.5)
-  }
-
-  test("alphaFor rejects out-of-range levels") {
-    intercept[IllegalArgumentException](Workloads.alphaFor(-0.1))
-    intercept[IllegalArgumentException](Workloads.alphaFor(1.1))
-  }
-
   test("queries returns the requested count and dimension") {
-    val qs = Workloads.queries(cfg, 37, 0.5)
+    val qs = VectorGen.genQueries(cfg, 37, 1.5, seed = 991L)
     assert(qs.length == 37)
     assert(qs.forall(_.length == cfg.dim))
   }
@@ -34,7 +26,7 @@ class WorkloadsSpec extends AnyFunSuite {
       val ps = h.map(_ / qs.length).filter(_ > 0)
       -ps.map(p => p * math.log(p)).sum
     }
-    val levels = Seq(0.0, 0.5, 1.0).map(l => entropy(Workloads.queries(cfg, 300, l)))
+    val levels = Seq(0.0, 1.5, 3.0).map(a => entropy(VectorGen.genQueries(cfg, 300, a, seed = 991L)))
     assert(levels(1) < levels(0))
     assert(levels(2) < levels(1))
   }
