@@ -214,42 +214,116 @@ object VecOps {
     }
   }
 
-  /** Index of the centroid nearest to `q` (squared L2); ties → lowest index. */
-  def nearest(q: Array[Float], centroids: Array[Array[Float]]): Int =
-    nearest(widen(q), centroids, -1, new Array[Double](1), 0)
+  /** Largest dimension count for which [[TriangleSlack]] covers the
+    * rounding of a computed squared distance (DESIGN.md, "Early abandoning
+    * in index build is exact too"). */
+  final val TriangleMaxDim = 1 << 20
 
-  /** [[nearest]] for a query already widened to `Double`, abandoning every
-    * centroid whose running partial exceeds the best distance so far
-    * ([[l2PartialBounded]] with that distance as the bound). The winner's
-    * distance is written to `dist(distIdx)`, which also serves as scratch.
+  /** Factor on `4·d` in the triangle-inequality skip test. A squared
+    * distance summed over `n <= TriangleMaxDim` dimensions is within a
+    * relative `δ = (n + 2)·2^-53 <= 1.2e-10` of the exact one, and the skip
+    * is exact once the factor is at least `((1 + δ) / (1 - δ))²`, below
+    * `1 + 5e-10`. */
+  private final val TriangleSlack = 1.0 + 1e-9
+
+  /** The squared centroid gap above which a centroid provably cannot beat
+    * one at computed squared distance `d` from a point: if
+    * `gap(b, c) > skipGap(d(x, b))`, then the computed `d(x, c)` is strictly
+    * above `d(x, b)`. By the triangle inequality `|x - c| >= |b - c| - |x - b|`,
+    * and `|b - c| > 2·|x - b|` makes that exceed `|x - b|`; the slack covers
+    * rounding in all three computed distances. With `d = Double.MaxValue`,
+    * `+inf` or NaN no gap is above it (or the test is false), so nothing is
+    * skipped. */
+  def skipGap(d: Double): Double = 4.0 * d * TriangleSlack
+
+  /** Centroids with the squared distance between every pair of them, which
+    * lets [[nearest]] skip centroids that cannot win (Elkan, ICML 2003).
+    * `gaps(a)(b)` is [[l2PartialAt]] of `a` against `b` (symmetric: `(a - b)²`
+    * and `(b - a)²` have the same bits; 0 on the diagonal), `minGap(a)` the
+    * smallest `gaps(a)(b)` over `b != a` (`+inf` for one centroid).
+    * Computed on [[Par]] over rows; `executed` is the dim-ops that took. */
+  final class CentroidTable(val centroids: Array[Array[Float]]) {
+    require(centroids.nonEmpty, "no centroids")
+    val dim: Int = centroids(0).length
+    require(centroids.forall(_.length == dim), s"dim mismatch: centroids of ${centroids.map(_.length).distinct.mkString("/")}")
+    require(dim <= TriangleMaxDim, s"dim $dim above $TriangleMaxDim")
+    val gaps: Array[Array[Double]] = Array.fill(centroids.length)(new Array[Double](centroids.length))
+    Par.foreachChunk(centroids.length, (lo, hi) => {
+      var a = lo
+      while (a < hi) {
+        val w = widen(centroids(a))
+        var b = a + 1
+        while (b < centroids.length) {
+          gaps(a)(b) = l2PartialAt(w, 0, centroids(b), 0, dim)
+          b += 1
+        }
+        a += 1
+      }
+    })
+    for (a <- centroids.indices; b <- 0 until a) gaps(a)(b) = gaps(b)(a)
+    val minGap: Array[Double] = Array.tabulate(centroids.length) { a =>
+      var m = Double.PositiveInfinity
+      var b = 0
+      while (b < centroids.length) { if (b != a && gaps(a)(b) < m) m = gaps(a)(b); b += 1 }
+      m
+    }
+    val executed: Long = centroids.length.toLong * (centroids.length - 1) / 2 * dim
+  }
+
+  /** Index of the centroid nearest to `q` (squared L2); ties → lowest index.
+    * Builds the centroids' [[CentroidTable]] (`k²·dim / 2` dim-ops), so a
+    * caller with many queries builds the table once and calls the widened
+    * form. */
+  def nearest(q: Array[Float], centroids: Array[Array[Float]]): Int =
+    nearest(widen(q), new CentroidTable(centroids), -1, new Array[Double](1), 0, new Array[Long](1))
+
+  /** [[nearest]] for a query already widened to `Double`. The winner's
+    * distance is written to `dist(distIdx)`, which also serves as scratch,
+    * and the dim-ops actually summed are added to `executed(0)`.
     *
     * A `guess` in `[0, centroids.length)` is measured first, so a good guess
-    * gives a tight bound from the start; `-1` means none. A centroid replaces
-    * the best so far when its distance is lower, or equal with a lower index,
-    * and an abandoned partial is strictly above the bound, so the result is
-    * the lowest index among the minimal distances whatever the guess, and the
-    * written distance is summed in full, in dimension order. As in the
-    * unbounded scan, a distance must be below `Double.MaxValue` to win;
-    * otherwise the result is 0 with distance `Double.MaxValue`.
+    * gives a tight bound from the start; `-1` means none. With `best` the
+    * best centroid so far and `bestD` its full distance, a centroid `c` is
+    * skipped when `table.gaps(best)(c) > skipGap(bestD)`, and the scan ends
+    * right after the guess when `table.minGap(guess)` is above that (Hamerly,
+    * SDM 2010); any other is bounded by `bestD` ([[l2PartialBounded]]).
+    * A centroid replaces the best so far when its distance is lower, or
+    * equal with a lower index, and a skipped centroid or an abandoned
+    * partial is strictly above `bestD`, so the result is the lowest index
+    * among the minimal distances whatever the guess, and the written
+    * distance is summed in full, in dimension order. As in the unbounded
+    * scan, a distance must be below `Double.MaxValue` to win; otherwise the
+    * result is 0 with distance `Double.MaxValue`.
     */
-  def nearest(q: Array[Double], centroids: Array[Array[Float]], guess: Int,
-              dist: Array[Double], distIdx: Int): Int = {
-    require(centroids.forall(_.length == q.length), s"dim mismatch: query has ${q.length}")
+  def nearest(q: Array[Double], table: CentroidTable, guess: Int,
+              dist: Array[Double], distIdx: Int, executed: Array[Long]): Int = {
+    require(q.length == table.dim, s"dim mismatch: query has ${q.length}, centroids ${table.dim}")
+    val centroids = table.centroids
+    val dim = q.length
+    var ops = 0L
     var best = 0
     var bestD = Double.MaxValue
     if (guess >= 0 && guess < centroids.length) {
-      val d = l2PartialAt(q, 0, centroids(guess), 0, q.length)
+      val d = l2PartialAt(q, 0, centroids(guess), 0, dim)
+      ops += dim
       if (d < bestD) { bestD = d; best = guess }
     }
-    var c = 0
-    while (c < centroids.length) {
-      if (c != guess) {
-        l2PartialBounded(q, 0, centroids(c), 0, q.length, 0.0, bestD, dist, distIdx)
-        val d = dist(distIdx)
-        if (d < bestD || (d == bestD && c < best)) { bestD = d; best = c }
+    var reach = skipGap(bestD)
+    if (!(best == guess && table.minGap(best) > reach)) {
+      var gapsBest = table.gaps(best)
+      var c = 0
+      while (c < centroids.length) {
+        if (c != guess && !(gapsBest(c) > reach)) {
+          ops += l2PartialBounded(q, 0, centroids(c), 0, dim, 0.0, bestD, dist, distIdx)
+          val d = dist(distIdx)
+          if (d < bestD || (d == bestD && c < best)) {
+            bestD = d; best = c; reach = skipGap(d); gapsBest = table.gaps(c)
+          }
+        }
+        c += 1
       }
-      c += 1
     }
+    executed(0) += ops
     dist(distIdx) = bestD
     best
   }

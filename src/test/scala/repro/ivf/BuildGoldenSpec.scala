@@ -12,7 +12,11 @@ import repro.vectors.{GenConfig, VectorDataset, VectorGen}
   *
   * Both datasets have more than 32 dimensions and a dimension count that is
   * not a multiple of 32, so the bounded kernels both test their bound and
-  * run their tail. `k-means` on `b` trains on a sample (`n > sampleSize`).
+  * run their tail. `k-means` on `b` and `c` trains on a sample
+  * (`n > sampleSize`). `c`'s clusters are well separated, so the
+  * triangle-inequality skips in seeding, Lloyd and Add fire on most
+  * (point, centroid) pairs; its values were recorded before those skips
+  * existed.
   */
 class BuildGoldenSpec extends SparkSpec {
   import BuildGoldenSpec._
@@ -38,11 +42,15 @@ object BuildGoldenSpec {
   private val b: VectorDataset = VectorGen.generate(GenConfig(
     name = "golden-b", n = 5000, dim = 70, nQueries = 1, nGenClusters = 20,
     decayRate = 0.5, radiusSpread = 0.9, seed = 32))
+  private val c: VectorDataset = VectorGen.generate(GenConfig(
+    name = "golden-c", n = 6000, dim = 129, nQueries = 1, nGenClusters = 32,
+    centerScale = 4.0, seed = 33))
 
   /** (name, dataset, k, k-means sample size) */
   val fitCases: Seq[(String, VectorDataset, Int, Int)] = Seq(
     ("golden-a", a, 24, 20000),
     ("golden-b", b, 40, 1500),
+    ("golden-c", c, 64, 4000),
   )
 
   private def sha(update: MessageDigest => Unit): String = {
@@ -78,6 +86,8 @@ object BuildGoldenSpec {
       "iterations=10 inertia=40f690701c5e68fb"),
     "golden-b" -> ("centroids=40 sha256 837e64b35ab4053814fbf6f32fbdd291af6ed44a2950f198e559698af5e88585 " +
       "iterations=10 inertia=41025eaba4ba0a8c"),
+    "golden-c" -> ("centroids=64 sha256 39d0919efcc6cc4a83115258f3a4d7be43393f61b239361e9ba245f405f8b4fd " +
+      "iterations=5 inertia=411d595c350b0b0f"),
   )
 
   val goldenIndex: Map[String, String] = Map(
@@ -85,5 +95,7 @@ object BuildGoldenSpec {
       "lists sha256 fae7df2cd5ba0a727600528913333a7cc44a0b989f7c11c017a1aef9278bc4b4"),
     "golden-b" -> ("centroids=40 sha256 a21a8c4c054606ff77b0ec0d54bf44040ba92dfdd1b70b413f3806c253dbc415 " +
       "lists sha256 f935eed33db32d97a4b026840bc2dabc247cb5978c6fc14ec8c30ae07de0b22f"),
+    "golden-c" -> ("centroids=64 sha256 25432c94de884f9f04ccdc48257236c5880487193d9508a65822fc20c5d45dc2 " +
+      "lists sha256 305120a3283df5b90f85d25b3ddbb06d6eb876c867d88daddda666620ccbf319"),
   )
 }

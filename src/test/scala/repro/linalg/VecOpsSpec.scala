@@ -275,7 +275,7 @@ class VecOpsSpec extends AnyFunSuite {
       val wq = VecOps.widen(q)
       val dist = Array.fill(3)(-1.0)
       for (guess <- -1 until cents.length) {
-        assert(VecOps.nearest(wq, cents, guess, dist, 1) == want, s"trial $trial: guess $guess")
+        assert(VecOps.nearest(wq, new VecOps.CentroidTable(cents), guess, dist, 1, new Array[Long](1)) == want, s"trial $trial: guess $guess")
         assert(bits(dist(1)) == bits(wantD), s"trial $trial: guess $guess distance")
         assert(dist(0) == -1.0 && dist(2) == -1.0)
       }
@@ -287,7 +287,7 @@ class VecOpsSpec extends AnyFunSuite {
     val q = Array.fill(40)(Float.NaN)
     val dist = new Array[Double](1)
     for (guess <- -1 until cents.length) {
-      assert(VecOps.nearest(VecOps.widen(q), cents, guess, dist, 0) == 0)
+      assert(VecOps.nearest(VecOps.widen(q), new VecOps.CentroidTable(cents), guess, dist, 0, new Array[Long](1)) == 0)
       assert(dist(0) == Double.MaxValue)
     }
     assert(VecOps.nearest(q, cents) == 0)
