@@ -37,9 +37,10 @@ object Dataflow {
     * by centroid promise), in the order their batches are placed.
     *
     * Vector-level pipeline batching (Fig 5a): each probe list is split into
-    * `maxWaves` chunks (one with `pipeline` off), so completed distances of
-    * earlier waves tighten τ for later ones; within a wave a query's
-    * clusters group into one batch per shard. Empty waves are dropped.
+    * `maxWaves` waves (one with `pipeline` off) by [[waveStart]], so
+    * completed distances of earlier waves tighten τ for later ones; within a
+    * wave a query's clusters group into one batch per shard. Empty waves
+    * are dropped.
     *
     * Slice start offsets (§4.3 load balancing): in dimension order without
     * balanced load; otherwise each batch, largest first (ties by query,
@@ -53,8 +54,9 @@ object Dataflow {
     val inOrder = Array.range(0, bDim)
     val buckets = IndexedSeq.fill(effWaves)(ArrayBuffer.empty[WaveBatch])
     probes.indices.foreach { qi =>
-      val chunk = math.max(1, (probes(qi).length + effWaves - 1) / effWaves)
-      probes(qi).grouped(chunk).zipWithIndex.foreach { case (cs, w) =>
+      val n = probes(qi).length
+      (0 until math.min(n, effWaves)).foreach { w =>
+        val cs = probes(qi).slice(waveStart(n, w, effWaves), waveStart(n, w + 1, effWaves))
         cs.groupBy(plan.shardOfCluster(_)).foreach { case (shard, clusters) =>
           val sorted = clusters.sorted
           buckets(w) += WaveBatch(qi, shard, sorted, sorted.map(listSizes(_)).sum, inOrder)
@@ -73,6 +75,26 @@ object Dataflow {
       }.toIndexedSeq
     }
   }
+
+  /** Where wave `w <= min(n, nWaves)` of `nWaves` starts in a probe list of
+    * `n` clusters (`w = nWaves` gives `n`): a doubling schedule. Wave
+    * `w < nWaves` starts at `max(w, ⌊n·(2^w − 1)/(2^nWaves − 1)⌋)`, so with
+    * `n >= nWaves` the waves take about 1, 2, 4, … parts of
+    * `n/(2^nWaves − 1)` clusters (1/2/4/9 of 16 and 3/6/13/26 of 48 in 4
+    * waves), and none is empty. With fewer clusters than waves the floor
+    * term never exceeds `w`, so each of the first `n` waves takes one.
+    *
+    * The list is ordered by centroid promise, and a wave prunes only against
+    * the τ of the waves before it. Wave 0 has the prewarm bound alone, so it
+    * is as small as the list allows. Every later wave scans about as many
+    * clusters as all earlier waves together (`2^w` parts against
+    * `2^w − 1`), so it prunes against a τ built from about as many
+    * completed, more promising clusters as it scans itself. Equal chunks
+    * would scan a whole `1/nWaves` of the list against the prewarm bound.
+    */
+  def waveStart(n: Int, w: Int, nWaves: Int): Int =
+    if (w >= nWaves) n
+    else math.max(w, (BigInt(n) * ((BigInt(1) << w) - 1) / ((BigInt(1) << nWaves) - 1)).toInt)
 
   /** Client dim-ops of a batch: every query scans all centroids (one per
     * entry of `listSizes`), and with pruning its heap is prewarmed with the

@@ -28,9 +28,9 @@ final case class HarmonyConfig(
     k: Int = 10,
     nprobe: Int = 16,
     pruning: Boolean = true,
-    /** vector-level waves tightening τ², simulated with overlapped comm;
-      * off → one wave, simulated as blocking stages (the engine and the
-      * planner price both the same way) */
+    /** vector-level waves (`maxWaves` of them) tightening τ², simulated
+      * with overlapped comm; off → one wave, simulated as blocking stages
+      * (the engine and the planner price both the same way) */
     pipeline: Boolean = true,
     /** load-aware placement + slice rotation; off → naive cluster placement,
       * slices visited in dimension order */
@@ -38,6 +38,10 @@ final case class HarmonyConfig(
     /** weight of the imbalance term; per-node makespan already prices the
       * bulk of skew, so the default expresses a mild extra skew-aversion */
     alpha: Double = 0.5,
+    /** waves per probe list with `pipeline` on: a list of `n >= maxWaves`
+      * clusters is split into `maxWaves` non-empty, doubling waves
+      * (`Dataflow.waveStart`; 1/2/4/9 of 16), a shorter one into one
+      * cluster per wave */
     maxWaves: Int = 4,
     prewarmPerCluster: Int = 4,
     costParams: CostParams = CostParams(),

@@ -37,14 +37,13 @@ final class IVFIndex(
     * cluster-based ANNS is these (paper §1), so they are the compute unit of
     * the whole cost simulation.
     */
-  final case class SearchStats(dimOps: Long, candidates: Long, probedClusters: Int)
+  final case class SearchStats(dimOps: Long)
 
   /** Exhaustive nprobe search (Faiss-like; no early stop). */
   def search(q: Array[Float], k: Int, nprobe: Int): (Array[Hit], SearchStats) = {
     val probes = VecOps.nearestN(q, centroids, nprobe)
     val heap = new BoundedMaxHeap(k)
     var ops = 0L
-    var cands = 0L
     probes.foreach { c =>
       val ids = listIds(c)
       val rows = listData(c)
@@ -55,11 +54,10 @@ final class IVFIndex(
         r += 1
       }
       ops += ids.length.toLong * dim
-      cands += ids.length
     }
     // centroid scan cost
     ops += centroids.length.toLong * dim
-    (heap.toSortedArray, SearchStats(ops, cands, probes.length))
+    (heap.toSortedArray, SearchStats(ops))
   }
 
   /** Index bytes on a single machine: vector payload + ids + centroids.

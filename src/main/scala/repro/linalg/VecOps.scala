@@ -185,21 +185,16 @@ object VecOps {
     l2PartialAt(a, 0, b, 0, a.length)
   }
 
-  /** Dot product over the slice `[0, len)` from the given offsets. */
-  def dotPartialAt(a: Array[Float], aOff: Int, b: Array[Float], bOff: Int, len: Int): Double = {
-    var s = 0.0
-    var i = 0
-    while (i < len) {
-      s += a(aOff + i).toDouble * b(bOff + i).toDouble
-      i += 1
-    }
-    s
-  }
-
   /** Dot product of full vectors. */
   def dot(a: Array[Float], b: Array[Float]): Double = {
     require(a.length == b.length, s"dim mismatch: ${a.length} vs ${b.length}")
-    dotPartialAt(a, 0, b, 0, a.length)
+    var s = 0.0
+    var i = 0
+    while (i < a.length) {
+      s += a(i).toDouble * b(i).toDouble
+      i += 1
+    }
+    s
   }
 
   /** Euclidean norm. */
@@ -270,16 +265,10 @@ object VecOps {
     val executed: Long = centroids.length.toLong * (centroids.length - 1) / 2 * dim
   }
 
-  /** Index of the centroid nearest to `q` (squared L2); ties → lowest index.
-    * Builds the centroids' [[CentroidTable]] (`k²·dim / 2` dim-ops), so a
-    * caller with many queries builds the table once and calls the widened
-    * form. */
-  def nearest(q: Array[Float], centroids: Array[Array[Float]]): Int =
-    nearest(widen(q), new CentroidTable(centroids), -1, new Array[Double](1), 0, new Array[Long](1))
-
-  /** [[nearest]] for a query already widened to `Double`. The winner's
-    * distance is written to `dist(distIdx)`, which also serves as scratch,
-    * and the dim-ops actually summed are added to `executed(0)`.
+  /** Index of the centroid of `table` nearest to the widened query `q`
+    * (squared L2); ties → lowest index. The winner's distance is written to
+    * `dist(distIdx)`, which also serves as scratch, and the dim-ops actually
+    * summed are added to `executed(0)`.
     *
     * A `guess` in `[0, centroids.length)` is measured first, so a good guess
     * gives a tight bound from the start; `-1` means none. With `best` the

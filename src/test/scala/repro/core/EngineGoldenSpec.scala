@@ -11,6 +11,10 @@ import repro.{SparkSpec, TestFixtures => F}
   * compared by bit pattern, so any change to what the engine counts, prunes
   * or merges — including the order of completed hits reaching the heaps —
   * shows up here.
+  *
+  * To re-record on purpose, run `sbt "Test/runMain repro.RecordGoldens"`:
+  * it prints `golden` as it would be recorded now, ready to paste over the
+  * map below.
   */
 class EngineGoldenSpec extends SparkSpec {
   import EngineGoldenSpec._
@@ -61,62 +65,61 @@ object EngineGoldenSpec {
     )
   }
 
-  /** The `LoadAware` cases were recorded from the engine that returned to
-    * the driver after every dimension slice (one Spark job per wave
-    * position); the `InOrder` cases from the one-job-per-wave engine. */
+  /** Recorded from the one-job-per-batch engine with the doubling wave
+    * schedule (`Dataflow.waveStart`). */
   val golden: Map[String, Seq[String]] = Map(
     "4x1/LoadAware" -> Seq(
-      "nodes=4 queries=24 dimOps=6807680 bytes=50300 msgs=173",
-      "comp=3f3b86c0ba4a0744 comm=0 other=3f183c7cfffb3874 total=3f40caeffd246ab0",
+      "nodes=4 queries=24 dimOps=6807680 bytes=42388 msgs=151",
+      "comp=3f3b86c0ba4a0744 comm=0 other=3f170a78cbe404a6 total=3f40a4af76a18437",
       "perNodeDimOps=2100096,1401280,1745472,1462528",
       "pruneEntering=104834",
-      "prunePruned=88130",
-      "perNodePeakStateBytes=3652,3384,4172,3652",
+      "prunePruned=93653",
+      "perNodePeakStateBytes=4960,5236,5792,4716",
       "topK=240 hits sha256 5ce654eb26b5dccbad73ac58adc5bc05d58cf40e33d656847c64f2055fc2d1dd",
     ),
     "4x1/InOrder" -> Seq(
-      "nodes=4 queries=24 dimOps=6807680 bytes=50300 msgs=173",
-      "comp=3f3b86c0ba4a0744 comm=0 other=3f183c7cfffb3874 total=3f40caeffd246ab0",
+      "nodes=4 queries=24 dimOps=6807680 bytes=42388 msgs=151",
+      "comp=3f3b86c0ba4a0744 comm=0 other=3f170a78cbe404a6 total=3f40a4af76a18437",
       "perNodeDimOps=2100096,1401280,1745472,1462528",
       "pruneEntering=104834",
-      "prunePruned=88130",
-      "perNodePeakStateBytes=3652,3384,4172,3652",
+      "prunePruned=93653",
+      "perNodePeakStateBytes=4960,5236,5792,4716",
       "topK=240 hits sha256 5ce654eb26b5dccbad73ac58adc5bc05d58cf40e33d656847c64f2055fc2d1dd",
     ),
     "2x2/LoadAware" -> Seq(
-      "nodes=4 queries=24 dimOps=4762848 bytes=524920 msgs=224",
-      "comp=3f3390aef8f72e3c comm=3f30806c2637dae0 other=3f265a2c97c8bf0e total=3f479f18b589b452",
-      "perNodeDimOps=1492704,1277312,996960,897568",
-      "pruneEntering=104834,40933",
-      "prunePruned=63901,24229",
-      "perNodePeakStateBytes=104432,91400,59308,51544",
+      "nodes=4 queries=24 dimOps=4789600 bytes=529408 msgs=191",
+      "comp=3f3469e6c5e9a61a comm=3f31053e8bdf7a56 other=3f2601972a63b6cb total=3f4837f8737d7deb",
+      "perNodeDimOps=1557440,1201984,1109568,822304",
+      "pruneEntering=104834,41769",
+      "prunePruned=63065,30588",
+      "perNodePeakStateBytes=107780,55892,94148,27004",
       "topK=240 hits sha256 a961b5c3adb3d8876035d07f978df60f13de3130afee8dab4cd967c6b1438a75",
     ),
     "2x2/InOrder" -> Seq(
-      "nodes=4 queries=24 dimOps=4322624 bytes=356252 msgs=196",
-      "comp=3f3966e7115cf9cb comm=3f186a92c27b3f54 other=3f265a2c97c8bf0e total=3f45575106f01494",
-      "perNodeDimOps=1938016,550752,1416672,318880",
-      "pruneEntering=104834,27176",
-      "prunePruned=77658,10472",
-      "perNodePeakStateBytes=2812,179008,2804,101264",
+      "nodes=4 queries=24 dimOps=4053120 bytes=249644 msgs=163",
+      "comp=3f3966e7115cf9ca comm=0 other=3f2601972a63b6cb total=3f4233d953476a98",
+      "perNodeDimOps=1938016,403200,1416672,196928",
+      "pruneEntering=104834,18754",
+      "prunePruned=86080,7573",
+      "perNodePeakStateBytes=3324,108532,3300,54644",
       "topK=240 hits sha256 a961b5c3adb3d8876035d07f978df60f13de3130afee8dab4cd967c6b1438a75",
     ),
     "1x4/LoadAware" -> Seq(
-      "nodes=4 queries=24 dimOps=3930640 bytes=1637116 msgs=268",
-      "comp=3f2e2328398a2e4e comm=3f50dea667530d7e other=3f357cbf455c1ef5 total=3f5a023b3fdb5b05",
-      "perNodeDimOps=1149648,801488,892112,989088",
-      "pruneEntering=104834,66254,42086,26347",
-      "prunePruned=38580,24168,15739,9643",
-      "perNodePeakStateBytes=83184,78432,81228,82440",
-      "topK=240 hits sha256 310ddbde18ce47d7f488416901db45034b948ee55b3ff3904d103aef283eb0cf",
+      "nodes=4 queries=24 dimOps=3347520 bytes=1200172 msgs=274",
+      "comp=3f2a21695c3a12a1 comm=3f4aab51fdcea266 other=3f357d2659a38fde total=3f55f91fc0d7777e",
+      "perNodeDimOps=996800,713808,753296,785312",
+      "pruneEntering=104834,54098,28776,15368",
+      "prunePruned=50736,25322,13408,4187",
+      "perNodePeakStateBytes=133452,50620,70092,62276",
+      "topK=240 hits sha256 51be09e047836b4abb6ad8078d9c7ad49e15dbccb1e9653b9f60d229d5116b7d",
     ),
     "1x4/InOrder" -> Seq(
-      "nodes=4 queries=24 dimOps=3178544 bytes=1070356 msgs=226",
-      "comp=3f35fc3b865b26d8 comm=3f48d6751e0d7cd8 other=3f357cbf455c1ef5 total=3f57497941f48fdf",
-      "perNodeDimOps=1677344,638176,434816,329904",
-      "pruneEntering=104834,39886,27176,20619",
-      "prunePruned=64948,12710,6557,3915",
-      "perNodePeakStateBytes=1728,313092,277200,239304",
+      "nodes=4 queries=24 dimOps=2805632 bytes=791068 msgs=232",
+      "comp=3f35fc3b865b26d7 comm=3f431bcb138d7130 other=3f357d2659a38fde total=3f546c3e01c66646",
+      "perNodeDimOps=1677344,517360,300064,212560",
+      "pruneEntering=104834,32335,18754,13285",
+      "prunePruned=72499,13581,5469,2104",
+      "perNodePeakStateBytes=2016,175380,161640,147492",
       "topK=240 hits sha256 da51d84fa1bbb40131a51fac5297ef08a448be3c58441911beee366667e3341d",
     ),
   )

@@ -2,6 +2,8 @@ package repro.ivf
 
 import java.security.MessageDigest
 
+import org.apache.spark.sql.SparkSession
+
 import repro.SparkSpec
 import repro.vectors.{GenConfig, VectorDataset, VectorGen}
 
@@ -17,20 +19,23 @@ import repro.vectors.{GenConfig, VectorDataset, VectorGen}
   * triangle-inequality skips in seeding, Lloyd and Add fire on most
   * (point, centroid) pairs; its values were recorded before those skips
   * existed.
+  *
+  * To re-record on purpose, run `sbt "Test/runMain repro.RecordGoldens"`:
+  * it prints `goldenFit` and `goldenIndex` as they would be recorded now,
+  * ready to paste over the maps below.
   */
 class BuildGoldenSpec extends SparkSpec {
   import BuildGoldenSpec._
 
   for ((name, ds, k, sampleSize) <- fitCases) {
     test(s"KMeans.fit on $name reproduces the recorded centroids, iterations and inertia") {
-      assert(renderFit(KMeans.fit(ds.data, k, seed = ds.config.seed, sampleSize = sampleSize)) ==
-        goldenFit(name))
+      assert(fitCase(ds, k, sampleSize) == goldenFit(name))
     }
   }
 
   for ((name, ds, k, _) <- fitCases) {
     test(s"IVFIndex.build on $name reproduces the recorded centroids and inverted lists") {
-      assert(renderIndex(IVFIndex.build(spark, ds, k, seed = ds.config.seed)._1) == goldenIndex(name))
+      assert(indexCase(spark, ds, k) == goldenIndex(name))
     }
   }
 }
@@ -52,6 +57,12 @@ object BuildGoldenSpec {
     ("golden-b", b, 40, 1500),
     ("golden-c", c, 64, 4000),
   )
+
+  def fitCase(ds: VectorDataset, k: Int, sampleSize: Int): String =
+    renderFit(KMeans.fit(ds.data, k, seed = ds.config.seed, sampleSize = sampleSize))
+
+  def indexCase(spark: SparkSession, ds: VectorDataset, k: Int): String =
+    renderIndex(IVFIndex.build(spark, ds, k, seed = ds.config.seed)._1)
 
   private def sha(update: MessageDigest => Unit): String = {
     val md = MessageDigest.getInstance("SHA-256")

@@ -4,7 +4,7 @@ import java.util.Random
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.linalg.VecOps
+import repro.linalg.{TestVecOps, VecOps}
 
 class KMeansSpec extends AnyFunSuite {
 
@@ -68,7 +68,7 @@ class KMeansSpec extends AnyFunSuite {
     val assign = KMeans.assignAll(wellSeparated, res.centroids).clusters
     assert(assign.length == wellSeparated.length)
     wellSeparated.indices.take(50).foreach { i =>
-      assert(assign(i) == VecOps.nearest(wellSeparated(i), res.centroids))
+      assert(assign(i) == TestVecOps.nearest(wellSeparated(i), res.centroids))
     }
   }
 
@@ -112,7 +112,7 @@ class KMeansSpec extends AnyFunSuite {
         Array.fill(2)(data(0).clone()) // exact ties for point 0
       val plain = KMeans.assignAll(data, cents)
       data.indices.foreach { i =>
-        assert(plain.clusters(i) == VecOps.nearest(data(i), cents))
+        assert(plain.clusters(i) == TestVecOps.nearest(data(i), cents))
         assert(bits(plain.dists(i)) == bits(VecOps.l2(data(i), cents(plain.clusters(i)))))
       }
       val r = new Random(seed)

@@ -2,7 +2,7 @@ package repro.vectors
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.linalg.VecOps
+import repro.linalg.{TestVecOps, VecOps}
 
 class VectorGenSpec extends AnyFunSuite {
 
@@ -101,7 +101,7 @@ class VectorGenSpec extends AnyFunSuite {
     val centers = VectorGen.genCenters(cfg)
     def clusterEntropy(qs: Array[Array[Float]]): Double = {
       val counts = new Array[Double](cfg.nGenClusters)
-      qs.foreach(q => counts(VecOps.nearest(q, centers)) += 1)
+      qs.foreach(q => counts(TestVecOps.nearest(q, centers)) += 1)
       val ps = counts.map(_ / qs.length).filter(_ > 0)
       -ps.map(p => p * math.log(p)).sum
     }

@@ -2,7 +2,7 @@ package repro.vectors
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.linalg.VecOps
+import repro.linalg.TestVecOps
 
 /** Query workloads of the skew experiments (§6.2.2): `VectorGen.genQueries`
   * with a Zipf exponent over the latent clusters, 0 for the uniform
@@ -22,7 +22,7 @@ class WorkloadsSpec extends AnyFunSuite {
     val centers = VectorGen.genCenters(cfg)
     def entropy(qs: Array[Array[Float]]): Double = {
       val h = new Array[Double](cfg.nGenClusters)
-      qs.foreach(q => h(VecOps.nearest(q, centers)) += 1)
+      qs.foreach(q => h(TestVecOps.nearest(q, centers)) += 1)
       val ps = h.map(_ / qs.length).filter(_ > 0)
       -ps.map(p => p * math.log(p)).sum
     }
