@@ -22,7 +22,7 @@ object Run {
 
   def main(args: Array[String]): Unit = {
     val artifacts = select(args.toSeq)
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
       .config("spark.ui.enabled", "false")

@@ -18,8 +18,8 @@ object Faiss {
           params: CostParams): FaissResult = {
     var ops = 0L
     val hits = queries.map { q =>
-      val (hs, st) = index.search(q, k, nprobe)
-      ops += st.dimOps
+      val (hs, dimOps) = index.search(q, k, nprobe)
+      ops += dimOps
       hs
     }
     val ledger = NodeLedger(dimOps = ops)

@@ -117,7 +117,7 @@ object BlockStore {
     }
 
     // node n holds block (shard n / bDim, slice n % bDim), inverting plan.nodeOf
-    val blockSeq = Array.tabulate(plan.nNodes) { n =>
+    val blockSeq = IndexedSeq.tabulate(plan.nNodes) { n =>
       val layout = layouts(n / plan.bDim)
       val slice = n % plan.bDim
       val lo = plan.sliceLo(slice)

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 import repro.sim.{NodeLedger, SimReport}
 
 /** The fine-grained query planner's cost model (§4.2).
@@ -20,6 +18,11 @@ import repro.sim.{NodeLedger, SimReport}
   * `choose` returns the argmin plan; `α` is the user's skew-aversion.
   */
 object CostModel {
+
+  /** Sample sizes: `fromData`'s queries and candidates per query, `dimVariances`' rows. */
+  val MaxQ: Int = 16
+  val MaxCands: Int = 256
+  val MaxRows: Int = 2000
 
   /** The predicted cost of one candidate plan: the simulated report of its
     * predicted ledgers, the imbalance term `I(π)` in seconds, and
@@ -56,27 +59,24 @@ object CostModel {
     def none(dim: Int): SurvivalStats =
       SurvivalStats(dim, i => i.toDouble / dim, _ => 1.0)
 
-    /** Variance-profile energy with a tempered linear survival guess —
-      * fallback when no workload sample is available. */
-    def fromVariances(vars: Array[Double]): SurvivalStats = {
+    /** The variance-prefix energy of `vars` (per-dimension variances) with
+      * the survival curve `survAtCum`. */
+    def withVarianceEnergy(vars: Array[Double], survAtCum: Double => Double): SurvivalStats = {
       val prefix = vars.scanLeft(0.0)(_ + _)
       val total = math.max(prefix.last, 1e-12)
-      SurvivalStats(vars.length,
-        i => prefix(i) / total,
-        c => math.min(1.0, math.max(0.05, 1.0 - 0.5 * c)))
+      SurvivalStats(vars.length, i => prefix(i) / total, survAtCum)
     }
 
     /** Data-driven stats (the paper's "lightweight metrics", §4.2):
       * variance-profile energy plus an empirical distance distribution from
-      * sampled queries × sampled candidates. A candidate is prunable at
-      * accumulated mass `c` when `c × dist > τ`, with τ the sampled top-k
-      * threshold.
+      * up to `MaxQ` sampled queries × `MaxCands` sampled candidates each. A
+      * candidate is prunable at accumulated mass `c` when `c × dist > τ`,
+      * with τ the sampled top-k threshold. An empty sample gives [[none]]:
+      * it has no probe lists, so nothing predicted from it reads survival.
       */
-    def fromData(index: repro.ivf.IVFIndex, sampleQueries: Array[Array[Float]],
-                 k: Int = 10, maxQ: Int = 16, maxCands: Int = 256): SurvivalStats = {
-      val vars = dimVariances(index)
-      val qs = sampleQueries.take(maxQ)
-      if (qs.isEmpty) return fromVariances(vars)
+    def fromData(index: repro.ivf.IVFIndex, sampleQueries: Array[Array[Float]], k: Int = 10): SurvivalStats = {
+      val qs = sampleQueries.take(MaxQ)
+      if (qs.isEmpty) return none(index.dim)
       // candidates are drawn from each query's nearest clusters so the
       // sampled distance distribution (and τ) matches the probed regime
       val distsPerQ = qs.map { q =>
@@ -84,9 +84,9 @@ object CostModel {
           math.min(8, index.nlist))
         val buf = scala.collection.mutable.ArrayBuffer.empty[Double]
         var round = 0
-        while (buf.size < maxCands && round < 64) {
+        while (buf.size < MaxCands && round < 64) {
           near.foreach { c =>
-            if (index.listSize(c) > round && buf.size < maxCands) {
+            if (index.listSize(c) > round && buf.size < MaxCands) {
               buf += repro.linalg.VecOps.l2PartialAt(
                 q, 0, index.listData(c), round * index.dim, index.dim)
             }
@@ -99,10 +99,7 @@ object CostModel {
         val sorted = ds.sorted
         sorted(math.min(k, sorted.length - 1))
       }
-      val prefix = vars.scanLeft(0.0)(_ + _)
-      val total = math.max(prefix.last, 1e-12)
-      SurvivalStats(vars.length,
-        i => prefix(i) / total,
+      withVarianceEnergy(dimVariances(index),
         c => {
           if (c <= 0.0) 1.0
           else {
@@ -115,15 +112,16 @@ object CostModel {
     }
   }
 
-  /** Per-dimension variance over a sample of indexed vectors. */
-  def dimVariances(index: repro.ivf.IVFIndex, maxRows: Int = 2000): Array[Double] = {
+  /** Per-dimension variance over the first `MaxRows` indexed vectors, in
+    * cluster order. */
+  def dimVariances(index: repro.ivf.IVFIndex): Array[Double] = {
     val dim = index.dim
     val sum = new Array[Double](dim)
     val sq = new Array[Double](dim)
     var rows = 0
     var c = 0
-    while (c < index.nlist && rows < maxRows) {
-      val take = math.min(index.listSize(c), maxRows - rows)
+    while (c < index.nlist && rows < MaxRows) {
+      val take = math.min(index.listSize(c), MaxRows - rows)
       val data = index.listData(c)
       var r = 0
       while (r < take) {
@@ -142,7 +140,7 @@ object CostModel {
   }
 
   /** The ledgers the engine would count searching a batch whose queries
-    * probe `probes` on `plan` under `cfg`. Waves, slice orders and every
+    * probe `probes` on `plan` under `cfg`. Waves, start slices and every
     * count follow [[Dataflow]]; a batch of `nRows` candidates enters
     * position `p` with `nRows × survAtCum(mass of the slices it visited
     * before p)` rows, rounded, and returns `min(k, survivors)` hits. With
@@ -161,20 +159,19 @@ object CostModel {
     require(listSizes.length == plan.nlist,
       s"${listSizes.length} list sizes for a plan over ${plan.nlist} clusters")
     val surv = if (cfg.pruning) survival else SurvivalStats.none(plan.dim)
-    // survivor fraction after the first p slices of a visit order, p = 0..bDim
-    val memo = mutable.HashMap.empty[Seq[Int], Array[Double]]
-    def survAfter(order: Array[Int]): Array[Double] = memo.getOrElseUpdate(order.toSeq,
-      order.scanLeft(0.0)((cum, j) => cum + surv.sliceEnergy(bDim, j)).map(surv.survAtCum))
+    // by start slice: survivor fraction after the first p slices visited, p = 0..bDim
+    val survAfter = Array.tabulate(bDim)(first => (0 until bDim)
+      .scanLeft(0.0)((cum, p) => cum + surv.sliceEnergy(bDim, plan.sliceAt(first, p))).map(surv.survAtCum))
 
     val waves = Dataflow.waves(probes, listSizes, plan, cfg)
     val perNode = Array.fill(waves.length, bDim, nNodes)(NodeLedger())
     var clientBytes = 0L
     for ((wave, w) <- waves.zipWithIndex; b <- wave) {
-      val s = survAfter(b.sliceOrder)
+      val s = survAfter(b.firstSlice)
       var rows = b.nRows.toLong
       var p = 0
       while (p < bDim && (p == 0 || rows > 0)) {
-        val slice = b.sliceOrder(p)
+        val slice = plan.sliceAt(b.firstSlice, p)
         val ledger = perNode(w)(p)(plan.nodeOf(b.shard, slice))
         Dataflow.countArrival(ledger, p, rows, plan.sliceLen(slice), b.clusters.length)
         val kept = math.round(b.nRows * s(p + 1))

@@ -5,9 +5,10 @@ import scala.collection.mutable.ArrayBuffer
 import repro.sim.{NodeLedger, Sim, SimReport, StageRecord}
 
 /** One (query, vector shard) batch of a wave: the query's probed clusters
-  * on that shard (ascending), their candidate rows, and the order in which
-  * the batch visits the dimension slices. */
-final case class WaveBatch(qIdx: Int, shard: Int, clusters: Array[Int], nRows: Int, sliceOrder: Array[Int])
+  * on that shard (ascending), their candidate rows, and the slice it visits
+  * first; it visits the others in rotation from there
+  * ([[PartitionPlan.sliceAt]]). The engine ships it to its first node. */
+final case class WaveBatch(qIdx: Int, shard: Int, clusters: Array[Int], nRows: Int, firstSlice: Int)
 
 /** Everything one search batch counts: one ledger per (wave, position)
   * stage and node, and the client's routing, prewarm and merge work. */
@@ -33,6 +34,9 @@ object Dataflow {
   val StateRowBytes: Long = 12L
   val HitBytes: Long = 12L
 
+  /** Rows of each probed cluster the client prewarms a query's heap with. */
+  val PrewarmPerCluster: Int = 4
+
   /** The waves of a batch whose queries probe `probes` (each list ordered
     * by centroid promise), in the order their batches are placed.
     *
@@ -42,16 +46,15 @@ object Dataflow {
     * wave a query's clusters group into one batch per shard. Empty waves
     * are dropped.
     *
-    * Slice start offsets (§4.3 load balancing): in dimension order without
-    * balanced load; otherwise each batch, largest first (ties by query,
-    * then shard), starts at the slice whose node has the least first-stage
-    * rows of its wave so far.
+    * Start slices (§4.3 load balancing): slice 0 without balanced load;
+    * otherwise each batch, largest first (ties by query, then shard),
+    * starts at the slice whose node has the least first-stage rows of its
+    * wave so far.
     */
   def waves(probes: Array[Array[Int]], listSizes: Array[Int], plan: PartitionPlan,
             cfg: HarmonyConfig): IndexedSeq[IndexedSeq[WaveBatch]] = {
     import plan.{bDim, nNodes}
     val effWaves = if (cfg.pipeline) cfg.maxWaves else 1
-    val inOrder = Array.range(0, bDim)
     val buckets = IndexedSeq.fill(effWaves)(ArrayBuffer.empty[WaveBatch])
     probes.indices.foreach { qi =>
       val n = probes(qi).length
@@ -59,7 +62,7 @@ object Dataflow {
         val cs = probes(qi).slice(waveStart(n, w, effWaves), waveStart(n, w + 1, effWaves))
         cs.groupBy(plan.shardOfCluster(_)).foreach { case (shard, clusters) =>
           val sorted = clusters.sorted
-          buckets(w) += WaveBatch(qi, shard, sorted, sorted.map(listSizes(_)).sum, inOrder)
+          buckets(w) += WaveBatch(qi, shard, sorted, sorted.map(listSizes(_)).sum, 0)
         }
       }
     }
@@ -70,7 +73,7 @@ object Dataflow {
         else {
           val off = (0 until bDim).minBy(o => nodeRows(plan.nodeOf(b.shard, o)))
           nodeRows(plan.nodeOf(b.shard, off)) += b.nRows
-          b.copy(sliceOrder = Array.tabulate(bDim)(i => (off + i) % bDim))
+          b.copy(firstSlice = off)
         }
       }.toIndexedSeq
     }
@@ -98,12 +101,12 @@ object Dataflow {
 
   /** Client dim-ops of a batch: every query scans all centroids (one per
     * entry of `listSizes`), and with pruning its heap is prewarmed with the
-    * first `min(listSizes(c), prewarmPerCluster)` rows of each probed
+    * first `min(listSizes(c), PrewarmPerCluster)` rows of each probed
     * cluster. */
   def clientDimOps(probes: Array[Array[Int]], listSizes: Array[Int], dim: Int,
                    cfg: HarmonyConfig): Long = {
     var ops = probes.length.toLong * listSizes.length * dim
-    if (cfg.pruning) probes.foreach(_.foreach(c => ops += math.min(listSizes(c), cfg.prewarmPerCluster).toLong * dim))
+    if (cfg.pruning) probes.foreach(_.foreach(c => ops += math.min(listSizes(c), PrewarmPerCluster).toLong * dim))
     ops
   }
 

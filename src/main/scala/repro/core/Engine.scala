@@ -12,24 +12,22 @@ import repro.ivf.IVFIndex
 import repro.linalg.{BoundedMaxHeap, Hit, Par, VecOps}
 import repro.sim.{NodeLedger, SimReport}
 
-/** In-flight state of one (query, vector-shard) pair: which clusters to
-  * scan, the slice visit order, the current pipeline position, the per-row
-  * partial-distance accumulators, and the query's pruning bound for the
-  * wave. Travels node-to-node between pipeline stages (its rows and
+/** In-flight state of one (query, vector-shard) batch of a wave, built at
+  * its first position from its [[WaveBatch]]: its start slice, the pipeline
+  * position it goes to next, its surviving shard rows with their
+  * partial-distance accumulators, and the query's [[Engine.pruneBound]] for
+  * the wave. Travels node-to-node between pipeline stages (its rows and
   * partials are the counted communication).
   */
 final case class CandBatch(
     qIdx: Int,
     shard: Int,
-    sliceOrder: Array[Int],
+    firstSlice: Int,
     pos: Int,
-    clusters: Array[Int],
     rows: Array[Int],
     partial: Array[Double],
-    /** [[Engine.pruneBound]] of the query for this wave: NaN until the
-      * wave's first position derives it from that node's heap replica */
     bound: Double,
-) extends Serializable
+) extends StageOut
 
 /** Per-query hit lists in primitive arrays: entry `i` holds the hits of
   * query `qIdx(i)` at `[ends(i - 1), ends(i))` of `ids` and `dists`
@@ -78,18 +76,17 @@ object PackedHits {
 }
 
 /** Stage task outputs, keyed by their destination node in the shuffle
-  * after the stage: surviving batches, each node's completed hits of a
-  * wave, each node's heap replica, and one accounting record per node, wave
-  * and pipeline position. */
+  * after the stage: surviving [[CandBatch]]es, each node's completed hits
+  * of a wave, each node's heap replica, and one accounting record per node,
+  * wave and pipeline position. */
 sealed trait StageOut extends Serializable
-final case class SurvivorOut(batch: CandBatch) extends StageOut
 /** Wave `wave`'s completed hits from `node`'s final-position batches, in
   * batch order: replicated to every node for the next wave's bounds and
   * forwarded once to the batch's `collect`. */
 final case class HitsOut(wave: Int, node: Int, hits: PackedHits) extends StageOut
-/** `node`'s replica of the batch's top-K heaps, carried from one wave's
+/** A node's replica of the batch's top-K heaps, carried from one wave's
   * first position to the next wave's on the same node. */
-final case class ReplicaOut(node: Int, heaps: PackedHits) extends StageOut
+final case class ReplicaOut(heaps: PackedHits) extends StageOut
 final case class LedgerOut(
     wave: Int, pos: Int, node: Int, ledger: NodeLedger, entering: Long, pruned: Long, executed: Long,
     /** [[Engine.boundsChecksum]] of the bounds the node derived for the
@@ -158,12 +155,13 @@ final case class EngineResult(
   * *is* the inter-machine transfer and is counted byte-for-byte.
   *
   * A batch is one Spark job. The driver routes the queries, prewarms their
-  * top-K heaps and builds every wave's per-node inputs up front; slice
-  * offsets depend only on row counts. Each (wave, position) is one stage:
-  * a wave's inputs join it at its first position, each position's survivors
-  * reach the next through a `partitionBy` shuffle, and the shuffle after a
-  * wave's final position carries its completed hits to every node, where
-  * the next wave's first position starts.
+  * top-K heaps and places every wave's [[WaveBatch]]es on their first
+  * nodes up front; start slices depend only on row counts. Each (wave,
+  * position) is one stage: a wave's batches join it at its first position,
+  * which builds their [[CandBatch]]es, each position's survivors reach the
+  * next through a `partitionBy` shuffle, and the shuffle after a wave's
+  * final position carries its completed hits to every node, where the next
+  * wave's first position starts.
   *
   * The nodes play the master for τ: each keeps a replica of the heaps
   * (starting from the driver's prewarm heaps), folds every wave's hits into
@@ -216,7 +214,7 @@ object Engine {
     Par.foreachChunk(nQ, (lo, hi) => (lo until hi).foreach { qi =>
       heaps(qi) = new BoundedMaxHeap(k)
       if (pruning) probes(qi).foreach { c =>
-        (0 until math.min(index.listSize(c), cfg.prewarmPerCluster)).foreach { j =>
+        (0 until math.min(index.listSize(c), Dataflow.PrewarmPerCluster)).foreach { j =>
           heaps(qi).offer(index.listIds(c)(j),
             VecOps.l2PartialAt(wide(qi), 0, index.listData(c), j * plan.dim, plan.dim))
         }
@@ -229,19 +227,12 @@ object Engine {
     // batch's first block
     val waves = Dataflow.waves(probes, index.listSizes, plan, cfg)
     val nWaves = waves.length
-    val inputs: IndexedSeq[Seq[Array[(Int, StageOut)]]] = waves.map { wave =>
-      val byNode = Array.fill(nNodes)(ArrayBuffer.empty[(Int, StageOut)])
-      wave.foreach { wb =>
-        val b = CandBatch(wb.qIdx, wb.shard, wb.sliceOrder, 0, wb.clusters,
-          rows = Array.emptyIntArray, partial = Array.emptyDoubleArray, bound = Double.NaN)
-        val node = plan.nodeOf(wb.shard, wb.sliceOrder(0))
-        byNode(node) += ((node, SurvivorOut(b)))
-      }
-      byNode.toSeq.map(_.toArray)
-    }
+    def firstNode(b: WaveBatch): Int = plan.nodeOf(b.shard, plan.sliceAt(b.firstSlice, 0))
+    val inputs: IndexedSeq[Seq[Array[WaveBatch]]] =
+      waves.map(wave => (0 until nNodes).map(n => wave.filter(firstNode(_) == n).toArray))
     // every node's heap replica starts from the prewarm heaps
     val prewarmed = PackedHits.of(heaps)
-    val replicas: Seq[(Int, StageOut)] = (0 until nNodes).map(n => (n, ReplicaOut(n, prewarmed)))
+    val replicas: Seq[(Int, StageOut)] = (0 until nNodes).map(n => (n, ReplicaOut(prewarmed)))
     val t4 = System.nanoTime()
 
     // stage w·bDim + pos zips what reaches each node from before (the
@@ -255,7 +246,7 @@ object Engine {
         throw new SparkException(s"the blocks of RDD ${store.blocks.id} were unpersisted")
       val consts = StageConsts(bcQueries, plan, nWaves, k, pruning)
       val toNodes = new HashPartitioner(nNodes)
-      val noInputs = sc.parallelize(Seq.fill(nNodes)(Array.empty[(Int, StageOut)]), nNodes)
+      val noInputs = sc.parallelize(Seq.fill(nNodes)(Array.empty[WaveBatch]), nNodes)
       var prev: RDD[(Int, StageOut)] = sc.parallelize(replicas, nNodes)
       for (w <- 0 until nWaves; pos <- 0 until bDim) {
         val mine = if (pos == 0) sc.parallelize(inputs(w), nNodes) else noInputs
@@ -283,18 +274,15 @@ object Engine {
       case (_, h: HitsOut) => hitsOf(h.wave) += h
       case (_, o) => throw new IllegalStateException(s"$o reached the batch's collect")
     }
-    var clientBytes = 0L
-    (0 until nWaves).foreach { w =>
-      val expected = boundsChecksum(heaps.map(h => pruneBound(h.threshold, pruning)))
-      (0 until nNodes).foreach { n =>
+    // the bounds of wave w come from the hits of the waves before it
+    (0 to nWaves).foreach { w =>
+      val expected = boundsChecksum(foldHits(heaps, if (w == 0) Nil else hitsOf(w - 1), pruning))
+      if (w < nWaves) (0 until nNodes).foreach { n =>
         if (!boundsSums(w)(n).contains(expected)) throw new IllegalStateException(
           s"node $n pruned wave $w against bounds ${boundsSums(w)(n)} that differ from the driver's $expected")
       }
-      hitsOf(w).sortBy(_.node).foreach { h =>
-        h.hits.offerInto(heaps)
-        clientBytes += h.hits.size * Dataflow.HitBytes
-      }
     }
+    val clientBytes = hitsOf.iterator.flatten.map(_.hits.size * Dataflow.HitBytes).sum
     val ledgers = BatchLedgers(Dataflow.stages(perNode), clientOps, clientBytes)
     val report = ledgers.price(cfg, nNodes, nQ)
 
@@ -324,75 +312,96 @@ object Engine {
     * RDD operation, about 1 ms each on the driver before the job is
     * submitted, and it skips named classes. */
   private final class StageFn(c: StageConsts, wave: Int, pos: Int)
-      extends ((Iterator[(Int, StageOut)], Iterator[Array[(Int, StageOut)]], Iterator[BlockData]) =>
+      extends ((Iterator[(Int, StageOut)], Iterator[Array[WaveBatch]], Iterator[BlockData]) =>
         Iterator[(Int, StageOut)]) with Serializable {
     def apply(
         prev: Iterator[(Int, StageOut)],
-        mine: Iterator[Array[(Int, StageOut)]],
+        mine: Iterator[Array[WaveBatch]],
         block: Iterator[BlockData],
-    ): Iterator[(Int, StageOut)] =
-      stageTask(prev ++ mine.flatMap(_.iterator), block.next(), c, wave, pos).flatMap(route)
+    ): Iterator[(Int, StageOut)] = {
+      val node = TaskContext.getPartitionId()
+      stageTask(prev.map(_._2), mine.flatMap(_.iterator), block.next(), node, c, wave, pos)
+        .flatMap(route(node, _))
+    }
 
-    /** Where an output goes in the shuffle after this stage: survivors to
-      * the node of their next block, this wave's hits (emitted at its final
-      * position) to every node if another wave follows, everything else
-      * back to the node holding it (the last stage's output is collected
-      * as it is keyed). */
-    private def route(o: StageOut): Iterator[(Int, StageOut)] = o match {
-      case s @ SurvivorOut(b) => Iterator.single((c.plan.nodeOf(b.shard, b.sliceOrder(b.pos)), s))
+    /** Where an output of `node` goes in the shuffle after this stage:
+      * survivors to the node of their next block, this wave's hits (emitted
+      * at its final position) to every node if another wave follows, and
+      * everything else stays on `node` (the last stage's output is
+      * collected as it is keyed). */
+    private def route(node: Int, o: StageOut): Iterator[(Int, StageOut)] = o match {
+      case b: CandBatch => Iterator.single((c.plan.nodeOf(b.shard, c.plan.sliceAt(b.firstSlice, b.pos)), b))
       case h: HitsOut if h.wave == wave && wave < c.nWaves - 1 => Iterator.tabulate(c.plan.nNodes)(n => (n, h))
-      case h: HitsOut => Iterator.single((h.node, h))
-      case r: ReplicaOut => Iterator.single((r.node, r))
-      case l: LedgerOut => Iterator.single((l.node, l))
+      case _ => Iterator.single((node, o))
     }
   }
 
   /** One node's task at position `pos` of wave `wave`, on the node's one
-    * `block`. At a first position the node folds the previous wave's hits
-    * from every node into its heap replica, in (source node, sequence)
-    * order, derives the wave's bounds from it and passes the replica on to
-    * its next wave; of those hits it forwards only its own, so each reaches
-    * the `collect` once. Ledgers, hits and the replica of earlier steps
-    * ride along.
+    * `block`. A first position receives the wave's `firsts` (a final
+    * position emits hits, never survivors), later positions the survivors
+    * among `recs`. At a first position the node folds the previous wave's
+    * hits from every node into its heap replica ([[foldHits]]), derives the
+    * wave's bounds from it and passes the replica on to its next wave; of
+    * those hits it forwards only its own, so each reaches the `collect`
+    * once. Ledgers, hits and the replica of earlier steps ride along.
     */
   private def stageTask(
-      recs: Iterator[(Int, StageOut)],
+      recs: Iterator[StageOut],
+      firsts: Iterator[WaveBatch],
       block: BlockData,
+      node: Int,
       c: StageConsts,
       wave: Int,
       pos: Int,
   ): Iterator[StageOut] = {
-    val node = TaskContext.getPartitionId()
+    def requireBlock(qIdx: Int, shard: Int, at: Int, first: Int): Unit = {
+      val slice = c.plan.sliceAt(first, at)
+      if (at != pos || shard != block.shard || slice != block.slice) throw new IllegalStateException(
+        s"query $qIdx's batch for position $at, block ($shard, $slice) reached node $node at position " +
+          s"$pos, which holds block (${block.shard}, ${block.slice})")
+    }
     val cands = ArrayBuffer.empty[CandBatch]
     val fresh = ArrayBuffer.empty[HitsOut]
     val forwarded = ArrayBuffer.empty[StageOut]
     var replica: ReplicaOut = null
     recs.foreach {
-      case (_, SurvivorOut(b)) =>
-        if (b.shard != block.shard || b.sliceOrder(b.pos) != block.slice) throw new IllegalStateException(
-          s"query ${b.qIdx}'s batch for block (${b.shard}, ${b.sliceOrder(b.pos)}) reached node $node, " +
-            s"which holds block (${block.shard}, ${block.slice})")
-        cands += b
-      case (_, r: ReplicaOut) if pos == 0 => replica = r
-      case (_, h: HitsOut) if pos == 0 && h.wave == wave - 1 =>
+      case b: CandBatch => requireBlock(b.qIdx, b.shard, b.pos, b.firstSlice); cands += b
+      case r: ReplicaOut if pos == 0 => replica = r
+      case h: HitsOut if pos == 0 && h.wave == wave - 1 =>
         fresh += h
         if (h.node == node) forwarded += h
-      case (_, o) => forwarded += o
+      case o => forwarded += o
     }
     val queries = c.queries.value
-    var bounds: Array[Double] = null
-    var boundsSum = 0L
-    if (pos == 0) {
-      if (replica == null) throw new IllegalStateException(s"no heap replica reached node $node in wave $wave")
-      val heaps = Array.fill(queries.length)(new BoundedMaxHeap(c.k))
-      replica.heaps.offerInto(heaps)
-      fresh.sortBy(_.node).foreach(_.hits.offerInto(heaps))
-      bounds = heaps.map(h => pruneBound(h.threshold, c.pruning))
-      boundsSum = boundsChecksum(bounds)
-      if (wave < c.nWaves - 1) forwarded += ReplicaOut(node, PackedHits.of(heaps))
-    }
-    processStage(cands.iterator, block, queries, bounds, wave, pos, c.plan.bDim, c.k, node,
-      boundsSum) ++ forwarded
+    val ledger = NodeLedger()
+    val (batches, boundsSum, executed) =
+      if (pos == 0) {
+        if (replica == null) throw new IllegalStateException(s"no heap replica reached node $node in wave $wave")
+        val heaps = Array.fill(queries.length)(new BoundedMaxHeap(c.k))
+        replica.heaps.offerInto(heaps)
+        val bounds = foldHits(heaps, fresh, c.pruning)
+        if (wave < c.nWaves - 1) forwarded += ReplicaOut(PackedHits.of(heaps))
+        val wbs = firsts.toArray
+        wbs.foreach { b =>
+          requireBlock(b.qIdx, b.shard, 0, b.firstSlice)
+          Dataflow.countArrival(ledger, 0, b.nRows, block.sliceLen, b.clusters.length)
+        }
+        val (scanned, ops) = scanFirstSlice(wbs, block, queries, bounds)
+        (scanned, boundsChecksum(bounds), ops)
+      } else {
+        cands.foreach(b => Dataflow.countArrival(ledger, pos, b.rows.length, block.sliceLen, 0))
+        (cands.toArray, 0L, 0L)
+      }
+    processStage(batches, block, c, wave, pos, node, ledger, executed, boundsSum) ++ forwarded
+  }
+
+  /** Offer `hits`, one wave's [[HitsOut]]s, into `heaps` in source-node
+    * order, and return each query's [[pruneBound]] from the folded heaps.
+    * Every node derives a wave's bounds this way, and the driver replays
+    * it to check them. */
+  private def foldHits(heaps: Array[BoundedMaxHeap], hits: Iterable[HitsOut], pruning: Boolean): Array[Double] = {
+    hits.toSeq.sortBy(_.node).foreach(_.hits.offerInto(heaps))
+    heaps.map(h => pruneBound(h.threshold, pruning))
   }
 
   /** Order-dependent checksum of bounds by bit pattern: a difference in any
@@ -412,49 +421,38 @@ object Engine {
     else tauSq * (1.0 + 1e-9) + 1e-12
 
   /** One pipeline stage on one simulated node (Alg 1, DimensionPipeline
-    * body): materialize rows on first touch, accumulate the local slice's
-    * partial distances, prune rows whose partial already exceeds the
-    * query's [[pruneBound]] (`bounds` at the first position, where they
-    * are derived; each batch's own `bound` later), and either forward the
-    * surviving state or emit final top-k hits, one [[HitsOut]] per node.
-    * Each batch's `rows` and `partial` are consumed: survivors are
-    * compacted in place before they are copied out.
+    * body), after `ledger` has counted every arrival: accumulate the local
+    * slice's partial distances (at the first position [[scanFirstSlice]]
+    * has, in one scan grouped by cluster, and executed `firstOps` dim-ops;
+    * later positions add their slice per batch, as survivor rows differ
+    * per query there), prune rows whose partial already exceeds the
+    * batch's `bound`, and either forward the surviving state or emit final
+    * top-k hits, one [[HitsOut]] per node. Each batch's `rows` and
+    * `partial` are consumed: survivors are compacted in place before they
+    * are copied out.
     */
   private def processStage(
-      cands: Iterator[CandBatch],
+      batches: Array[CandBatch],
       block: BlockData,
-      queries: Array[Array[Double]],
-      bounds: Array[Double],
+      c: StageConsts,
       wave: Int,
       pos: Int,
-      bDim: Int,
-      k: Int,
       node: Int,
+      ledger: NodeLedger,
+      firstOps: Long,
       boundsSum: Long,
   ): Iterator[StageOut] = {
     val layout = block.layout
-    val ledger = NodeLedger()
+    val queries = c.queries.value
     var entering = 0L
     var prunedCount = 0L
-    var executed = 0L
+    var executed = firstOps
     val outs = ArrayBuffer.empty[StageOut]
     val completed = new PackedHits.Builder
-
-    // at the first position one scan, grouped by cluster, fills every
-    // batch's partials; later positions add their slice per batch below
-    // (survivor rows differ per query there)
-    val batches =
-      if (pos == 0) {
-        val (scanned, ops) = scanFirstSlice(cands.toArray, block, queries, bounds)
-        executed += ops
-        scanned.iterator
-      } else cands
 
     batches.foreach { b =>
       val q = queries(b.qIdx)
       val bound = b.bound
-
-      Dataflow.countArrival(ledger, b.pos, b.rows.length, block.sliceLen, b.clusters.length)
       entering += b.rows.length
 
       val sliceLen = block.sliceLen
@@ -462,7 +460,7 @@ object Engine {
       val rows = b.rows
       val parts = b.partial
       val nRows = rows.length
-      val last = b.pos == bDim - 1
+      val last = b.pos == c.plan.bDim - 1
       // final slice: full distances go straight into this batch's local
       // top-k; earlier slices compact their survivors to the front
       var heap: BoundedMaxHeap = null
@@ -480,7 +478,7 @@ object Engine {
           prunedCount += 1
         } else {
           if (last) {
-            if (heap == null) heap = new BoundedMaxHeap(k)
+            if (heap == null) heap = new BoundedMaxHeap(c.k)
             heap.offer(layout.rowIds(r), d)
           } else {
             rows(kept) = r
@@ -494,10 +492,10 @@ object Engine {
       if (last) {
         if (heap != null) completed.add(b.qIdx, heap.toSortedArray)
       } else if (kept > 0) {
-        outs += SurvivorOut(b.copy(
+        outs += b.copy(
           pos = b.pos + 1,
           rows = java.util.Arrays.copyOf(rows, kept),
-          partial = java.util.Arrays.copyOf(parts, kept)))
+          partial = java.util.Arrays.copyOf(parts, kept))
       }
     }
 
@@ -506,13 +504,13 @@ object Engine {
     outs.iterator
   }
 
-  /** A wave's first position on one node: each of `batches`, copied with
-    * its candidate rows (its clusters' shard-row ranges in `block`, in
+  /** A wave's first position on one node: the state of each of `batches`,
+    * with its candidate rows (its clusters' shard-row ranges in `block`, in
     * cluster order), this slice's distances in `partial` and its query's
-    * bound from `bounds`, and the dim-ops the kernels
-    * executed. The batches are grouped by cluster, so each cluster
-    * range is read once for every query that probes it, four queries at a
-    * time; the 1–3 left over go through the one-query kernel. Each row's
+    * bound from `bounds`, and the dim-ops the kernels executed. The batches
+    * are grouped by cluster, so each cluster range is read once for every
+    * query that probes it, four queries at a time; the 1–3 left over go
+    * through the one-query kernel. Each row's
     * distance is summed from 0.0 in dimension order whichever kernel
     * computes it, and `0.0 + s == s` for `s >= 0`, so it is written straight
     * into `partial`. Both kernels may abandon a row once it exceeds its
@@ -520,7 +518,7 @@ object Engine {
     * prune test in [[processStage]] drops it as it would the full sum.
     */
   private def scanFirstSlice(
-      batches: Array[CandBatch],
+      batches: Array[WaveBatch],
       block: BlockData,
       queries: Array[Array[Double]],
       bounds: Array[Double],
@@ -548,7 +546,7 @@ object Engine {
         var r = lo
         while (r < hi) { rows(w) = r; w += 1; r += 1 }
       }
-      b.copy(rows = rows, partial = partial, bound = bounds(b.qIdx))
+      CandBatch(b.qIdx, b.shard, b.firstSlice, 0, rows, partial, bounds(b.qIdx))
     }
 
     // the 4-query kernel's arguments, refilled for every group of four

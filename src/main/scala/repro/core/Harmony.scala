@@ -20,7 +20,8 @@ object Mode {
 /** System-level configuration mirroring the paper's CLI parameters
   * (`-NMachine`, `-Pruning_Configuration`, `-Indexing_Parameters`, `-α`,
   * `-Mode`) plus the ablation toggles of §6.3.2. It is the only
-  * configuration: deploy, the planner and the engine all read it.
+  * configuration: deploy, the planner and the engine all read it. The
+  * prewarm depth is fixed ([[Dataflow.PrewarmPerCluster]]).
   */
 final case class HarmonyConfig(
     nNodes: Int = 4,
@@ -32,8 +33,8 @@ final case class HarmonyConfig(
       * with overlapped comm; off → one wave, simulated as blocking stages
       * (the engine and the planner price both the same way) */
     pipeline: Boolean = true,
-    /** load-aware placement + slice rotation; off → naive cluster placement,
-      * slices visited in dimension order */
+    /** load-aware placement + balanced start slices; off → naive cluster
+      * placement, every batch starting at slice 0 */
     balancedLoad: Boolean = true,
     /** weight of the imbalance term; per-node makespan already prices the
       * bulk of skew, so the default expresses a mild extra skew-aversion */
@@ -43,14 +44,12 @@ final case class HarmonyConfig(
       * (`Dataflow.waveStart`; 1/2/4/9 of 16), a shorter one into one
       * cluster per wave */
     maxWaves: Int = 4,
-    prewarmPerCluster: Int = 4,
     costParams: CostParams = CostParams(),
 ) {
   require(nNodes >= 1, s"nNodes must be at least 1: $nNodes")
   require(k >= 1, s"k must be at least 1: $k")
   require(nprobe >= 1, s"nprobe must be at least 1: $nprobe")
   require(maxWaves >= 1, s"maxWaves must be at least 1: $maxWaves")
-  require(prewarmPerCluster >= 0, s"prewarmPerCluster must be non-negative: $prewarmPerCluster")
   require(alpha >= 0, s"alpha must be non-negative: $alpha")
 }
 

@@ -28,6 +28,8 @@ final case class PartitionPlan(
 
   def nlist: Int = shardOfCluster.length
   def nodeOf(shard: Int, slice: Int): Int = shard * bDim + slice
+  /** The slice visited at position `pos` by a batch starting at slice `first`. */
+  def sliceAt(first: Int, pos: Int): Int = (first + pos) % bDim
   def sliceLo(s: Int): Int = sliceBounds(s)
   def sliceHi(s: Int): Int = sliceBounds(s + 1)
   def sliceLen(s: Int): Int = sliceHi(s) - sliceLo(s)

@@ -33,14 +33,12 @@ final class IVFIndex(
   def listSize(c: Int): Int = listIds(c).length
   def nTotal: Long = listIds.map(_.length.toLong).sum
 
-  /** One scanned row × one dimension = one "dim-op"; 99.7% of search time in
-    * cluster-based ANNS is these (paper §1), so they are the compute unit of
-    * the whole cost simulation.
+  /** Exhaustive nprobe search (Faiss-like; no early stop): the top-k hits
+    * and the dim-ops spent. One scanned row × one dimension = one "dim-op";
+    * 99.7% of search time in cluster-based ANNS is these (paper §1), so they
+    * are the compute unit of the whole cost simulation.
     */
-  final case class SearchStats(dimOps: Long)
-
-  /** Exhaustive nprobe search (Faiss-like; no early stop). */
-  def search(q: Array[Float], k: Int, nprobe: Int): (Array[Hit], SearchStats) = {
+  def search(q: Array[Float], k: Int, nprobe: Int): (Array[Hit], Long) = {
     val probes = VecOps.nearestN(q, centroids, nprobe)
     val heap = new BoundedMaxHeap(k)
     var ops = 0L
@@ -57,7 +55,7 @@ final class IVFIndex(
     }
     // centroid scan cost
     ops += centroids.length.toLong * dim
-    (heap.toSortedArray, SearchStats(ops))
+    (heap.toSortedArray, ops)
   }
 
   /** Index bytes on a single machine: vector payload + ids + centroids.

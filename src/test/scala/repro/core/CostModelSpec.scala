@@ -139,18 +139,15 @@ class CostModelSpec extends AnyFunSuite {
     assert(s.survAtCum(0.0) == 1.0 && s.survAtCum(0.9) == 1.0 && s.survAtCum(1.0) == 1.0)
   }
 
-  test("fromVariances: flat profile declines slowly, decayed faster") {
-    val sFlat = SurvivalStats.fromVariances(Array.fill(32)(1.0))
-    assert(math.abs(sFlat.survAtCum(0.25) - 0.875) < 1e-9)
-    assert(math.abs(sFlat.survAtCum(0.5) - 0.75) < 1e-9)
-    val sDec = SurvivalStats.fromVariances(Array.tabulate(32)(i => math.exp(-0.3 * i)))
+  test("withVarianceEnergy: a decayed profile front-loads its distance mass") {
+    val sFlat = SurvivalStats.withVarianceEnergy(Array.fill(32)(1.0), _ => 1.0)
+    val sDec = SurvivalStats.withVarianceEnergy(Array.tabulate(32)(i => math.exp(-0.3 * i)), _ => 1.0)
     assert(sDec.energyCumFrac(8) > sFlat.energyCumFrac(8))
     assert(sDec.sliceEnergy(4, 0) > 0.8)
-    assert(sDec.survAtCum(sDec.energyCumFrac(8)) < sFlat.survAtCum(sFlat.energyCumFrac(8)))
   }
 
   test("sliceEnergy sums to 1 across slices") {
-    val s = SurvivalStats.fromVariances(Array.tabulate(20)(i => 1.0 + i))
+    val s = SurvivalStats.withVarianceEnergy(Array.tabulate(20)(i => 1.0 + i), _ => 1.0)
     val total = (0 until 4).map(s.sliceEnergy(4, _)).sum
     assert(math.abs(total - 1.0) < 1e-9)
   }

@@ -71,4 +71,22 @@ class DataflowSpec extends AnyFunSuite {
     })
     assert(res.passed, Pretty.pretty(res))
   }
+
+  test("every batch starts at slice 0 without balanced load or with one slice; with it, each shard's first-stage rows differ across its slices by at most its largest batch of the wave") {
+    val wideGen = caseGen.flatMap { case (nlist, bVec, _, cfg, probes) =>
+      Gen.choose(1, 4).map(bDim => (nlist, bVec, bDim, cfg.copy(nNodes = bVec * bDim), probes))
+    }
+    val res = Check.check(Check.Parameters.default.withMinSuccessfulTests(500), Prop.forAll(wideGen) {
+      case (nlist, bVec, bDim, cfg, probes) =>
+        val sizes = Array.tabulate(nlist)(c => c % 5 + 1)
+        val ws = Dataflow.waves(probes, sizes, plan(nlist, bVec, bDim, cfg.balancedLoad), cfg)
+        if (!cfg.balancedLoad || bDim == 1) ws.forall(_.forall(_.firstSlice == 0))
+        else ws.forall(_.groupBy(_.shard).values.forall { batches =>
+          val rows = new Array[Long](bDim)
+          batches.foreach(b => rows(b.firstSlice) += b.nRows)
+          rows.max - rows.min <= batches.map(_.nRows).max
+        })
+    })
+    assert(res.passed, Pretty.pretty(res))
+  }
 }

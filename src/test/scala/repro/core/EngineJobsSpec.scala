@@ -86,4 +86,27 @@ class EngineJobsSpec extends SparkSpec with Eventually {
     }
     assert(sc.getPersistentRDDs.keySet == persistedBefore)
   }
+
+  test("a search that fails inside its tasks releases its broadcast and persists nothing") {
+    // the blocks of a 4×1 store under a 2×2 plan: node 1 holds block (1, 0)
+    // where the plan puts (0, 1), so the stage tasks' block check throws
+    val (idx, rows) = F.smallStore(spark, 4, 1)
+    val plan = PartitionPlan.build(2, 2, idx.dim, idx.listSizes.map(_.toDouble), balanced = true)
+    val mismatched = new BlockStore(plan, rows.layouts, rows.blocks, rows.preAssignMs)
+    val sc = spark.sparkContext
+    try {
+      val persistedBefore = sc.getPersistentRDDs.keySet
+      // the engine's broadcast takes the first id after this probe
+      val before = sc.broadcast(0)
+      before.destroy()
+      intercept[SparkException](search(idx, mismatched, nprobe = 8, pipeline = true))
+      // only the engine's own: the task binaries of the failed stages (the
+      // later ids) are Spark's, released at the driver's next GC, outside
+      // the engine's control
+      eventually(timeout(Span(10, Seconds))) {
+        assert(!SparkInternals.broadcastIds().contains(before.id + 1), "the search's broadcast is alive")
+      }
+      assert(sc.getPersistentRDDs.keySet == persistedBefore)
+    } finally rows.unpersist()
+  }
 }

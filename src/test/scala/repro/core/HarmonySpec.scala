@@ -140,7 +140,6 @@ class HarmonySpec extends SparkSpec {
          "k" -> (_.copy(k = 0)),
          "nprobe" -> (_.copy(nprobe = 0)),
          "maxWaves" -> (_.copy(maxWaves = 0)),
-         "prewarmPerCluster" -> (_.copy(prewarmPerCluster = -1)),
          "alpha" -> (_.copy(alpha = -0.5)))) {
     test(s"HarmonyConfig rejects an out-of-range $field") {
       val e = intercept[IllegalArgumentException](bad(HarmonyConfig()))

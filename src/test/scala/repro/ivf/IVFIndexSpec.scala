@@ -78,8 +78,8 @@ class IVFIndexSpec extends SparkSpec {
     val q = ds.queries.head
     val probes = VecOps.nearestN(q, idx.centroids, 4)
     val expectedCands = probes.map(idx.listSize(_).toLong).sum
-    val (_, st) = idx.search(q, 10, 4)
-    assert(st.dimOps == expectedCands * ds.dim + idx.nlist.toLong * ds.dim)
+    val (_, dimOps) = idx.search(q, 10, 4)
+    assert(dimOps == expectedCands * ds.dim + idx.nlist.toLong * ds.dim)
   }
 
   test("sizeBytes accounts payload, ids and centroids") {
