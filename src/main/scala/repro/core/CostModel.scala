@@ -196,24 +196,33 @@ object CostModel {
     PlanCost(plan.bVec, plan.bDim, report, imbalanceSec, report.totalSeconds + cfg.alpha * imbalanceSec)
   }
 
-  /** Choose the best grid for the workload sample (the paper's planner):
-    * every candidate is the plan `PartitionPlan.forWorkload` lays out for
-    * the sample's probe popularity, and the argmin is returned with its
-    * cost for deploy to lay out unchanged. */
-  def choose(
+  /** Every candidate grid scored for the workload sample: the plan
+    * `PartitionPlan.forWorkload` lays out for the sample's probe popularity
+    * and its [[estimate]]d cost, in `PartitionPlan.candidateGrids` order. */
+  def scoreGrids(
       cfg: HarmonyConfig, dim: Int,
       listSizes: Array[Int], probes: Array[Array[Int]], survival: SurvivalStats,
-  ): (PartitionPlan, PlanCost) = {
+  ): Seq[(PartitionPlan, PlanCost)] = {
     val cands = PartitionPlan.candidateGrids(cfg.nNodes, dim)
     require(cands.nonEmpty, s"no candidate grids for nNodes=${cfg.nNodes} dim=$dim")
     val popularity = popularityOf(probes.toSeq, listSizes.length)
-    cands
-      .map { case (bv, bd) =>
-        val plan = PartitionPlan.forWorkload(bv, bd, dim, listSizes, popularity, cfg.balancedLoad)
-        (plan, estimate(plan, cfg, listSizes, probes, survival))
-      }
-      .minBy { case (_, c) => (c.totalSec, c.bDim) } // prefer fewer dim splits on ties
+    cands.map { case (bv, bd) =>
+      val plan = PartitionPlan.forWorkload(bv, bd, dim, listSizes, popularity, cfg.balancedLoad)
+      (plan, estimate(plan, cfg, listSizes, probes, survival))
+    }
   }
+
+  /** The cheapest of `scored`, preferring fewer dimension splits on ties. */
+  def cheapest(scored: Seq[(PartitionPlan, PlanCost)]): (PartitionPlan, PlanCost) =
+    scored.minBy { case (_, c) => (c.totalSec, c.bDim) }
+
+  /** Choose the best grid for the workload sample (the paper's planner):
+    * the [[cheapest]] of [[scoreGrids]], returned with its cost for deploy
+    * to lay out unchanged. */
+  def choose(
+      cfg: HarmonyConfig, dim: Int,
+      listSizes: Array[Int], probes: Array[Array[Int]], survival: SurvivalStats,
+  ): (PartitionPlan, PlanCost) = cheapest(scoreGrids(cfg, dim, listSizes, probes, survival))
 
   /** Empirical per-cluster probe popularity of a query workload sample. */
   def popularityOf(probesPerQuery: Seq[Array[Int]], nlist: Int): Array[Double] = {

@@ -7,7 +7,8 @@ import repro.sim.{NodeLedger, Sim, SimReport, StageRecord}
 /** One (query, vector shard) batch of a wave: the query's probed clusters
   * on that shard (ascending), their candidate rows, and the slice it visits
   * first; it visits the others in rotation from there
-  * ([[PartitionPlan.sliceAt]]). The engine ships it to its first node. */
+  * ([[PartitionPlan.sliceAt]]). The batch's broadcast carries it, and the
+  * node holding its first block takes it. */
 final case class WaveBatch(qIdx: Int, shard: Int, clusters: Array[Int], nRows: Int, firstSlice: Int)
 
 /** Everything one search batch counts: one ledger per (wave, position)

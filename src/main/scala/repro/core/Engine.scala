@@ -76,22 +76,27 @@ object PackedHits {
 }
 
 /** Stage task outputs, keyed by their destination node in the shuffle
-  * after the stage: surviving [[CandBatch]]es, each node's completed hits
-  * of a wave, each node's heap replica, and one accounting record per node,
-  * wave and pipeline position. */
+  * after the stage: surviving [[CandBatch]]es, a wave's completed hits for
+  * the other nodes, and each node's [[NodeState]]. */
 sealed trait StageOut extends Serializable
 /** Wave `wave`'s completed hits from `node`'s final-position batches, in
-  * batch order: replicated to every node for the next wave's bounds and
-  * forwarded once to the batch's `collect`. */
+  * batch order: kept in the node's [[NodeState]] and, while another wave
+  * follows, sent to every other node for that wave's bounds. */
 final case class HitsOut(wave: Int, node: Int, hits: PackedHits) extends StageOut
-/** A node's replica of the batch's top-K heaps, carried from one wave's
-  * first position to the next wave's on the same node. */
-final case class ReplicaOut(heaps: PackedHits) extends StageOut
+/** One node's accounting for position `pos` of wave `wave`. */
 final case class LedgerOut(
-    wave: Int, pos: Int, node: Int, ledger: NodeLedger, entering: Long, pruned: Long, executed: Long,
+    wave: Int, pos: Int, ledger: NodeLedger, entering: Long, pruned: Long, executed: Long,
     /** [[Engine.boundsChecksum]] of the bounds the node derived for the
       * wave, at its first position (0 at later positions) */
     boundsSum: Long,
+)
+/** Everything node `node` keeps between stages: its replica of the batch's
+  * top-K heaps while another wave follows (`None` from the last wave's
+  * first position on), its own hits of every wave so far and its ledgers.
+  * Routed to its own node after each stage; the batch's `collect` receives
+  * one per node and nothing else. */
+final case class NodeState(
+    node: Int, replica: Option[PackedHits], hits: Array[HitsOut], ledgers: Array[LedgerOut],
 ) extends StageOut
 
 /** Driver wall time of one search batch by phase, in nanoseconds. Not
@@ -103,9 +108,10 @@ final case class DriverPhases(
     routeNs: Long,
     /** prewarm heap offers */
     prewarmNs: Long,
-    /** every wave's per-node inputs */
+    /** the wave layout ([[Dataflow.waves]]) and every node's initial state */
     waveBuildNs: Long,
-    /** building the lineage, submitting the job and `collect` returning */
+    /** the broadcast, building the lineage, submitting the job and
+      * `collect` returning */
     jobNs: Long,
     /** replaying the waves' merges (with the replica cross-check), then
       * `Sim.evaluate` and the result */
@@ -155,23 +161,26 @@ final case class EngineResult(
   * *is* the inter-machine transfer and is counted byte-for-byte.
   *
   * A batch is one Spark job. The driver routes the queries, prewarms their
-  * top-K heaps and places every wave's [[WaveBatch]]es on their first
-  * nodes up front; start slices depend only on row counts. Each (wave,
-  * position) is one stage: a wave's batches join it at its first position,
-  * which builds their [[CandBatch]]es, each position's survivors reach the
-  * next through a `partitionBy` shuffle, and the shuffle after a wave's
-  * final position carries its completed hits to every node, where the next
-  * wave's first position starts.
+  * top-K heaps and lays out every wave's [[WaveBatch]]es up front; start
+  * slices depend only on row counts. The batch's one broadcast carries the
+  * widened queries, the waves, the plan, `k` and `pruning`. Each (wave,
+  * position) is one stage, and a stage task reads its node's
+  * [[NodeState]], the records routed to it, its block and the broadcast: at
+  * a wave's first position the node takes the batches whose first block it
+  * holds and builds their [[CandBatch]]es, each position's survivors reach
+  * the next through a `partitionBy` shuffle, and the shuffle after a wave's
+  * final position carries its completed hits to every other node, where
+  * the next wave's first position starts.
   *
   * The nodes play the master for τ: each keeps a replica of the heaps
   * (starting from the driver's prewarm heaps), folds every wave's hits into
-  * it in (source node, sequence) order, and derives the next wave's bounds
-  * from it; survivors carry their bound in [[CandBatch]]. Heap contents do
-  * not depend on offer order, so every replica holds what the driver's
-  * heaps hold after the same waves. Ledgers and hits are forwarded through
-  * the shuffles to the batch's single `collect`; the driver then replays
-  * the merges wave by wave, checks each node's bounds against its own, and
-  * produces the top-K.
+  * it in (source node, sequence) order, its own from its state, and derives
+  * the next wave's bounds from it; survivors carry their bound in
+  * [[CandBatch]]. Heap contents do not depend on offer order, so every
+  * replica holds what the driver's heaps hold after the same waves. Each
+  * node's state, with its hits and ledgers, reaches the batch's single
+  * `collect` once; the driver then replays the merges wave by wave, checks
+  * each node's bounds against its own, and produces the top-K.
   */
 object Engine {
 
@@ -223,38 +232,30 @@ object Engine {
     val clientOps = Dataflow.clientDimOps(probes, index.listSizes, plan.dim, cfg)
     val t3 = System.nanoTime()
 
-    // every wave's inputs, placed straight onto the node holding each
-    // batch's first block
     val waves = Dataflow.waves(probes, index.listSizes, plan, cfg)
     val nWaves = waves.length
-    def firstNode(b: WaveBatch): Int = plan.nodeOf(b.shard, plan.sliceAt(b.firstSlice, 0))
-    val inputs: IndexedSeq[Seq[Array[WaveBatch]]] =
-      waves.map(wave => (0 until nNodes).map(n => wave.filter(firstNode(_) == n).toArray))
-    // every node's heap replica starts from the prewarm heaps
-    val prewarmed = PackedHits.of(heaps)
-    val replicas: Seq[(Int, StageOut)] = (0 until nNodes).map(n => (n, ReplicaOut(prewarmed)))
+    // every node's state starts from the prewarm heaps
+    val prewarmed = Some(PackedHits.of(heaps))
+    val states: Seq[(Int, StageOut)] =
+      (0 until nNodes).map(n => (n, NodeState(n, prewarmed, Array.empty, Array.empty)))
     val t4 = System.nanoTime()
 
-    // stage w·bDim + pos zips what reaches each node from before (the
-    // replicas at first, then the previous stage's shuffled output), the
-    // node's wave inputs (none after a first position) and its block
-    val bcQueries = sc.broadcast(wide)
-    val meta = try {
+    // stage w·bDim + pos zips what reaches each node from before (its
+    // state, then also the previous stage's survivors or hits) with its block
+    val bc = sc.broadcast(BatchInputs(wide, waves, plan, k, pruning))
+    val collected = try {
       // checked before submitting: a job that fails in its tasks leaves its
       // task binaries broadcast until the driver's next GC
       if (store.blocks.getStorageLevel == StorageLevel.NONE)
         throw new SparkException(s"the blocks of RDD ${store.blocks.id} were unpersisted")
-      val consts = StageConsts(bcQueries, plan, nWaves, k, pruning)
       val toNodes = new HashPartitioner(nNodes)
-      val noInputs = sc.parallelize(Seq.fill(nNodes)(Array.empty[WaveBatch]), nNodes)
-      var prev: RDD[(Int, StageOut)] = sc.parallelize(replicas, nNodes)
+      var prev: RDD[(Int, StageOut)] = sc.parallelize(states, nNodes)
       for (w <- 0 until nWaves; pos <- 0 until bDim) {
-        val mine = if (pos == 0) sc.parallelize(inputs(w), nNodes) else noInputs
-        val out = prev.zipPartitions(mine, store.blocks)(new StageFn(consts, w, pos))
+        val out = prev.zipPartitions(store.blocks)(new StageFn(bc, w, pos))
         prev = if (w < nWaves - 1 || pos < bDim - 1) out.partitionBy(toNodes) else out
       }
       prev.collect()
-    } finally bcQueries.destroy()
+    } finally bc.destroy()
     val t5 = System.nanoTime()
 
     // replay the merges wave by wave, as the nodes did
@@ -264,14 +265,16 @@ object Engine {
     val enteringByPos = new Array[Long](bDim)
     val prunedByPos = new Array[Long](bDim)
     val executedByPos = new Array[Long](bDim)
-    meta.foreach {
-      case (_, l: LedgerOut) =>
-        perNode(l.wave)(l.pos)(l.node).add(l.ledger)
-        enteringByPos(l.pos) += l.entering
-        prunedByPos(l.pos) += l.pruned
-        executedByPos(l.pos) += l.executed
-        if (l.pos == 0) boundsSums(l.wave)(l.node) = Some(l.boundsSum)
-      case (_, h: HitsOut) => hitsOf(h.wave) += h
+    collected.foreach {
+      case (_, s: NodeState) =>
+        s.ledgers.foreach { l =>
+          perNode(l.wave)(l.pos)(s.node).add(l.ledger)
+          enteringByPos(l.pos) += l.entering
+          prunedByPos(l.pos) += l.pruned
+          executedByPos(l.pos) += l.executed
+          if (l.pos == 0) boundsSums(l.wave)(s.node) = Some(l.boundsSum)
+        }
+        s.hits.foreach(h => hitsOf(h.wave) += h)
       case (_, o) => throw new IllegalStateException(s"$o reached the batch's collect")
     }
     // the bounds of wave w come from the hits of the waves before it
@@ -297,102 +300,89 @@ object Engine {
       DriverPhases(t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t6 - t5))
   }
 
-  /** What every stage task of a batch reads besides its records. */
-  private final case class StageConsts(
-      queries: Broadcast[Array[Array[Double]]],
+  /** What the driver fixes before a batch's job: its one broadcast. */
+  private final case class BatchInputs(
+      queries: Array[Array[Double]],
+      waves: IndexedSeq[IndexedSeq[WaveBatch]],
       plan: PartitionPlan,
-      nWaves: Int,
       k: Int,
       pruning: Boolean,
   )
 
-  /** The task of stage (`wave`, `pos`), keyed for the shuffle after it.
+  /** The task of stage (`wave`, `pos`) on one node, keyed for the shuffle
+    * after it. It reads the node's [[NodeState]], the records routed to the
+    * node (survivors at a later position, the previous wave's hits from the
+    * other nodes at a first one) and its one block. A first position takes
+    * the wave's batches whose first block the node holds (a final position
+    * emits hits, never survivors); it folds the previous wave's hits, the
+    * node's own from its state, into the state's heap replica
+    * ([[foldHits]]), derives the wave's bounds from it and keeps the replica
+    * while another wave follows. The task's new state carries its hits and
+    * ledger on.
+    *
     * A named class rather than a lambda: Spark's closure cleaner scans the
     * bytecode of a lambda's enclosing class (this large object) on every
     * RDD operation, about 1 ms each on the driver before the job is
     * submitted, and it skips named classes. */
-  private final class StageFn(c: StageConsts, wave: Int, pos: Int)
-      extends ((Iterator[(Int, StageOut)], Iterator[Array[WaveBatch]], Iterator[BlockData]) =>
-        Iterator[(Int, StageOut)]) with Serializable {
-    def apply(
-        prev: Iterator[(Int, StageOut)],
-        mine: Iterator[Array[WaveBatch]],
-        block: Iterator[BlockData],
-    ): Iterator[(Int, StageOut)] = {
+  private final class StageFn(bc: Broadcast[BatchInputs], wave: Int, pos: Int)
+      extends ((Iterator[(Int, StageOut)], Iterator[BlockData]) => Iterator[(Int, StageOut)]) with Serializable {
+    def apply(prev: Iterator[(Int, StageOut)], blocks: Iterator[BlockData]): Iterator[(Int, StageOut)] = {
+      val in = bc.value
+      val plan = in.plan
+      val lastWave = wave == in.waves.length - 1
       val node = TaskContext.getPartitionId()
-      stageTask(prev.map(_._2), mine.flatMap(_.iterator), block.next(), node, c, wave, pos)
-        .flatMap(route(node, _))
-    }
-
-    /** Where an output of `node` goes in the shuffle after this stage:
-      * survivors to the node of their next block, this wave's hits (emitted
-      * at its final position) to every node if another wave follows, and
-      * everything else stays on `node` (the last stage's output is
-      * collected as it is keyed). */
-    private def route(node: Int, o: StageOut): Iterator[(Int, StageOut)] = o match {
-      case b: CandBatch => Iterator.single((c.plan.nodeOf(b.shard, c.plan.sliceAt(b.firstSlice, b.pos)), b))
-      case h: HitsOut if h.wave == wave && wave < c.nWaves - 1 => Iterator.tabulate(c.plan.nNodes)(n => (n, h))
-      case _ => Iterator.single((node, o))
+      val block = blocks.next()
+      def requireBlock(qIdx: Int, shard: Int, at: Int, first: Int): Unit = {
+        val slice = plan.sliceAt(first, at)
+        if (at != pos || shard != block.shard || slice != block.slice) throw new IllegalStateException(
+          s"query $qIdx's batch for position $at, block ($shard, $slice) reached node $node at position " +
+            s"$pos, which holds block (${block.shard}, ${block.slice})")
+      }
+      var state: NodeState = null
+      val cands = ArrayBuffer.empty[CandBatch]
+      val fresh = ArrayBuffer.empty[HitsOut]
+      prev.foreach {
+        case (_, s: NodeState) => state = s
+        case (_, b: CandBatch) => requireBlock(b.qIdx, b.shard, b.pos, b.firstSlice); cands += b
+        case (_, h: HitsOut) if pos == 0 && h.wave == wave - 1 => fresh += h
+        case (_, o) => throw new IllegalStateException(s"$o reached node $node at position $pos of wave $wave")
+      }
+      if (state == null) throw new IllegalStateException(s"no state reached node $node at position $pos of wave $wave")
+      val ledger = NodeLedger()
+      val (batches, replica, boundsSum, executed) =
+        if (pos == 0) {
+          val heaps = Array.fill(in.queries.length)(new BoundedMaxHeap(in.k))
+          state.replica.getOrElse(throw new IllegalStateException(s"no heap replica reached node $node in wave $wave"))
+            .offerInto(heaps)
+          val bounds = foldHits(heaps, fresh ++ state.hits.filter(_.wave == wave - 1), in.pruning)
+          val wbs = in.waves(wave).iterator
+            .filter(b => plan.nodeOf(b.shard, plan.sliceAt(b.firstSlice, 0)) == node).toArray
+          wbs.foreach { b =>
+            requireBlock(b.qIdx, b.shard, 0, b.firstSlice)
+            Dataflow.countArrival(ledger, 0, b.nRows, block.sliceLen, b.clusters.length)
+          }
+          val (scanned, ops) = scanFirstSlice(wbs, block, in.queries, bounds)
+          (scanned, if (lastWave) None else Some(PackedHits.of(heaps)), boundsChecksum(bounds), ops)
+        } else {
+          cands.foreach(b => Dataflow.countArrival(ledger, pos, b.rows.length, block.sliceLen, 0))
+          (cands.toArray, state.replica, 0L, 0L)
+        }
+      val (outs, completed, l) = processStage(batches, block, in, wave, pos, ledger, executed, boundsSum)
+      val hits = completed.map(HitsOut(wave, node, _))
+      if (!lastWave) outs ++= hits
+      outs += NodeState(node, replica, state.hits ++ hits, state.ledgers :+ l)
+      outs.iterator.flatMap(route(plan, _))
     }
   }
 
-  /** One node's task at position `pos` of wave `wave`, on the node's one
-    * `block`. A first position receives the wave's `firsts` (a final
-    * position emits hits, never survivors), later positions the survivors
-    * among `recs`. At a first position the node folds the previous wave's
-    * hits from every node into its heap replica ([[foldHits]]), derives the
-    * wave's bounds from it and passes the replica on to its next wave; of
-    * those hits it forwards only its own, so each reaches the `collect`
-    * once. Ledgers, hits and the replica of earlier steps ride along.
-    */
-  private def stageTask(
-      recs: Iterator[StageOut],
-      firsts: Iterator[WaveBatch],
-      block: BlockData,
-      node: Int,
-      c: StageConsts,
-      wave: Int,
-      pos: Int,
-  ): Iterator[StageOut] = {
-    def requireBlock(qIdx: Int, shard: Int, at: Int, first: Int): Unit = {
-      val slice = c.plan.sliceAt(first, at)
-      if (at != pos || shard != block.shard || slice != block.slice) throw new IllegalStateException(
-        s"query $qIdx's batch for position $at, block ($shard, $slice) reached node $node at position " +
-          s"$pos, which holds block (${block.shard}, ${block.slice})")
-    }
-    val cands = ArrayBuffer.empty[CandBatch]
-    val fresh = ArrayBuffer.empty[HitsOut]
-    val forwarded = ArrayBuffer.empty[StageOut]
-    var replica: ReplicaOut = null
-    recs.foreach {
-      case b: CandBatch => requireBlock(b.qIdx, b.shard, b.pos, b.firstSlice); cands += b
-      case r: ReplicaOut if pos == 0 => replica = r
-      case h: HitsOut if pos == 0 && h.wave == wave - 1 =>
-        fresh += h
-        if (h.node == node) forwarded += h
-      case o => forwarded += o
-    }
-    val queries = c.queries.value
-    val ledger = NodeLedger()
-    val (batches, boundsSum, executed) =
-      if (pos == 0) {
-        if (replica == null) throw new IllegalStateException(s"no heap replica reached node $node in wave $wave")
-        val heaps = Array.fill(queries.length)(new BoundedMaxHeap(c.k))
-        replica.heaps.offerInto(heaps)
-        val bounds = foldHits(heaps, fresh, c.pruning)
-        if (wave < c.nWaves - 1) forwarded += ReplicaOut(PackedHits.of(heaps))
-        val wbs = firsts.toArray
-        wbs.foreach { b =>
-          requireBlock(b.qIdx, b.shard, 0, b.firstSlice)
-          Dataflow.countArrival(ledger, 0, b.nRows, block.sliceLen, b.clusters.length)
-        }
-        val (scanned, ops) = scanFirstSlice(wbs, block, queries, bounds)
-        (scanned, boundsChecksum(bounds), ops)
-      } else {
-        cands.foreach(b => Dataflow.countArrival(ledger, pos, b.rows.length, block.sliceLen, 0))
-        (cands.toArray, 0L, 0L)
-      }
-    processStage(batches, block, c, wave, pos, node, ledger, executed, boundsSum) ++ forwarded
+  /** Where a stage output goes in the shuffle after its stage: a survivor
+    * to the node of its next block, a wave's hits to every other node, and
+    * a node's state to its own node (the last stage's output is collected
+    * as it is keyed). */
+  private def route(plan: PartitionPlan, o: StageOut): Iterator[(Int, StageOut)] = o match {
+    case b: CandBatch => Iterator.single((plan.nodeOf(b.shard, plan.sliceAt(b.firstSlice, b.pos)), b))
+    case h: HitsOut => Iterator.range(0, plan.nNodes).filter(_ != h.node).map((_, h))
+    case s: NodeState => Iterator.single((s.node, s))
   }
 
   /** Offer `hits`, one wave's [[HitsOut]]s, into `heaps` in source-node
@@ -426,24 +416,23 @@ object Engine {
     * has, in one scan grouped by cluster, and executed `firstOps` dim-ops;
     * later positions add their slice per batch, as survivor rows differ
     * per query there), prune rows whose partial already exceeds the
-    * batch's `bound`, and either forward the surviving state or emit final
-    * top-k hits, one [[HitsOut]] per node. Each batch's `rows` and
-    * `partial` are consumed: survivors are compacted in place before they
-    * are copied out.
+    * batch's `bound`, and return the surviving batches, the node's final
+    * top-k hits in batch order (if any) and its ledger. Each batch's `rows`
+    * and `partial` are consumed: survivors are compacted in place before
+    * they are copied out.
     */
   private def processStage(
       batches: Array[CandBatch],
       block: BlockData,
-      c: StageConsts,
+      in: BatchInputs,
       wave: Int,
       pos: Int,
-      node: Int,
       ledger: NodeLedger,
       firstOps: Long,
       boundsSum: Long,
-  ): Iterator[StageOut] = {
+  ): (ArrayBuffer[StageOut], Option[PackedHits], LedgerOut) = {
     val layout = block.layout
-    val queries = c.queries.value
+    val queries = in.queries
     var entering = 0L
     var prunedCount = 0L
     var executed = firstOps
@@ -460,7 +449,7 @@ object Engine {
       val rows = b.rows
       val parts = b.partial
       val nRows = rows.length
-      val last = b.pos == c.plan.bDim - 1
+      val last = b.pos == in.plan.bDim - 1
       // final slice: full distances go straight into this batch's local
       // top-k; earlier slices compact their survivors to the front
       var heap: BoundedMaxHeap = null
@@ -478,7 +467,7 @@ object Engine {
           prunedCount += 1
         } else {
           if (last) {
-            if (heap == null) heap = new BoundedMaxHeap(c.k)
+            if (heap == null) heap = new BoundedMaxHeap(in.k)
             heap.offer(layout.rowIds(r), d)
           } else {
             rows(kept) = r
@@ -499,9 +488,8 @@ object Engine {
       }
     }
 
-    if (completed.nonEmpty) outs += HitsOut(wave, node, completed.result())
-    outs += LedgerOut(wave, pos, node, ledger, entering, prunedCount, executed, boundsSum)
-    outs.iterator
+    (outs, Option.when(completed.nonEmpty)(completed.result()),
+      LedgerOut(wave, pos, ledger, entering, prunedCount, executed, boundsSum))
   }
 
   /** A wave's first position on one node: the state of each of `batches`,

@@ -425,27 +425,23 @@ object Experiments {
 
   /** For each (skew level, dataset) the batch is `adversarialQueries` at
     * that level and also the planner's workload sample, as in the paper
-    * artifacts. Every candidate grid is laid out by
-    * `PartitionPlan.forWorkload` and searched under the same config;
-    * `chosen` marks the grid `CostModel.choose` returns. */
+    * artifacts. Every grid `CostModel.scoreGrids` scores is searched under
+    * the same config; `chosen` marks the [[CostModel.cheapest]] of them. */
   def grids(spark: SparkSession, diagnoses: Seq[(Double, GenConfig)]): Seq[GridRow] = {
     val cfg = HarmonyConfig(nNodes = DefaultNodes, k = DefaultK, nprobe = DefaultNprobe)
     diagnoses.flatMap { case (skew, dcfg) =>
       val (ds, idx, _) = indexed(spark, dcfg)
       val queries = adversarialQueries(idx, ds, cfg.nNodes, dcfg.nQueries, skew, nprobe = cfg.nprobe)
       val probes = queries.map(VecOps.nearestN(_, idx.centroids, cfg.nprobe))
-      val popularity = CostModel.popularityOf(probes.toSeq, idx.nlist)
       val survival = CostModel.SurvivalStats.fromData(idx, queries, k = cfg.k)
-      val (chosen, _) = CostModel.choose(cfg, idx.dim, idx.listSizes, probes, survival)
+      val scored = CostModel.scoreGrids(cfg, idx.dim, idx.listSizes, probes, survival)
+      val (chosen, _) = CostModel.cheapest(scored)
       val faiss = Faiss.run(idx, queries, cfg.k, cfg.nprobe, cfg.costParams).report
-      PartitionPlan.candidateGrids(cfg.nNodes, idx.dim).map { case (bv, bd) =>
-        val plan = PartitionPlan.forWorkload(bv, bd, idx.dim, idx.listSizes, popularity,
-          cfg.balancedLoad)
-        val cost = CostModel.estimate(plan, cfg, idx.listSizes, probes, survival)
+      scored.map { case (plan, cost) =>
         val store = BlockStore.build(spark, idx, plan)
         val measured = try Engine.search(spark, store, idx, queries, cfg).report
           finally store.unpersist()
-        GridRow(dcfg.name, skew, bv, bd, (bv, bd) == (chosen.bVec, chosen.bDim), cost, measured, faiss)
+        GridRow(dcfg.name, skew, plan.bVec, plan.bDim, plan eq chosen, cost, measured, faiss)
       }
     }
   }

@@ -73,6 +73,9 @@ final class IVFIndex(
 
 object IVFIndex {
 
+  /** The most Lloyd passes Train runs. */
+  val TrainIterations: Int = 8
+
   /** Build the index. Train and Add both run on the driver, as the paper's
     * single-machine Faiss steps do (Figure 10): k-means, then each row's
     * nearest centroid on driver threads (`KMeans.assignAll`). `spark` is
@@ -80,9 +83,9 @@ object IVFIndex {
     * it, keep calling the same signature.
     */
   def build(spark: SparkSession, ds: VectorDataset, nlist: Int,
-            seed: Long = 17L, maxIter: Int = 8): (IVFIndex, BuildTimes) = {
+            seed: Long = 17L): (IVFIndex, BuildTimes) = {
     val t0 = System.nanoTime()
-    val km = KMeans.fit(ds.data, nlist, maxIter = maxIter, seed = seed)
+    val km = KMeans.fit(ds.data, nlist, maxIter = TrainIterations, seed = seed)
     val t1 = System.nanoTime()
 
     // cluster of each row, by row position, so ids need not be 0..n-1

@@ -352,4 +352,16 @@ class EngineSpec extends SparkSpec {
       assert(r.perNodePeakStateBytes.exists(_ > 0))
     } finally sys.shutdown()
   }
+
+  test("driver phases are non-negative and fit within the search's wall time") {
+    val sys = deploy(Mode.Harmony)
+    try {
+      val t0 = System.nanoTime()
+      val d = sys.search(F.small.queries).driver
+      val wall = System.nanoTime() - t0
+      val phases = Seq(d.validateNs, d.routeNs, d.prewarmNs, d.waveBuildNs, d.jobNs, d.mergeNs)
+      assert(phases.forall(_ >= 0), phases.mkString(", "))
+      assert(phases.sum <= wall, s"${phases.mkString(" + ")} > $wall")
+    } finally sys.shutdown()
+  }
 }
